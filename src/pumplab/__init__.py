@@ -31,22 +31,14 @@ from .model import (
     dense_objective,
     dense_rows,
     detect_blocks,
-    hamming,
-    is_binary_vector,
-    norm0,
-    norm1,
     normalize,
-    supp,
 )
 from .lp import LpProblem, LpSolution, LpStatus, SimplexSolver, lift, solve_lp
 from .projection import (
     ProjectionEntry,
     ProjectionOracle,
-    alt_proj,
     alt_proj_star,
     as_binary,
-    is_stalling,
-    l1_proj,
     round_binary,
 )
 from .certificate import (
@@ -65,14 +57,13 @@ from .perturb import (
     perturb_l,
     restart_mask,
     restart_perturb,
-    spawn_rng,
     wfpbase_perturb,
 )
 from .pump import (
+    ALGORITHMS,
     BoundReport,
     PumpTrace,
     TraceRecord,
-    detect_cycle,
     run_mb_walksat,
     run_naive_fp,
     run_original_fp,
@@ -84,7 +75,6 @@ from .pump import (
 from .gen import (
     BlockSpec,
     GenResult,
-    GenSpec,
     fractional_stall_instance,
     gen_decomposable,
     gen_subset_sum,

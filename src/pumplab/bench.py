@@ -1,10 +1,11 @@
 """Benchmark harness: run pump variants over instance sets and tabulate.
 
-Each (instance, algorithm, seed) triple is one run. Run RNGs are derived
-from the seed plus the instance and algorithm positions in the config, so
-results do not depend on execution order and the worker pool (if any)
-produces the same rows as a serial sweep. Rows are sorted by
-(instance, algorithm, seed) before reporting.
+Each (instance, algorithm, seed) triple is one pump.run call. Run RNGs
+are derived from the seed plus the instance and algorithm positions in
+the config, so results do not depend on execution order and the worker
+pool (if any) produces the same rows as a serial sweep; its workers get
+the config once, as the pool forks, and each task is those three
+numbers. Rows are sorted by (instance, algorithm, seed) before reporting.
 
 Wall time is recorded per run. Runs are never interrupted mid-flight; a
 run whose wall time exceeds the time limit gets outcome "timeout" after
@@ -23,7 +24,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +45,10 @@ CSV_COLUMNS = (
     "wall_time_s",
 )
 
-KNOWN_ALGORITHMS = ("naive", "orig", "origzf", "mbwalksat", "wfp", "wfpc", "wfpbase")
+KNOWN_ALGORITHMS = tuple(pump.ALGORITHMS)
+
+# shift of the table's shifted geometric means, times and iterations alike
+SGM_SHIFT = 1.0
 
 
 def shifted_geomean(values, shift: float = 1.0) -> float:
@@ -81,14 +85,12 @@ class BenchConfig:
     flips: int = 2
     time_limit: float = 60.0
     workers: int = field(default_factory=_default_workers)
-    time_shift: float = 1.0
-    iter_shift: float = 1.0
 
     def __post_init__(self):
         if not self.algorithms or not self.seeds:
             raise ValueError("need at least one algorithm and one seed")
         for alg in self.algorithms:
-            if alg not in KNOWN_ALGORITHMS:
+            if alg not in pump.ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")
         names = [inst.name for inst in self.instances]
         if len(set(names)) != len(names):
@@ -112,45 +114,15 @@ def _run_rng(seed: int, inst_idx: int, alg_idx: int):
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _dispatch(alg: str, instance: MixedBinaryInstance, rng, cfg: BenchConfig):
-    if alg == "naive":
-        return pump.run_naive_fp(instance, max_iter=cfg.max_iter, record=False)
-    if alg == "orig":
-        return pump.run_original_fp(
-            instance, max_iter=cfg.max_iter, rng=rng, tt_range=cfg.tt_range, record=False
-        )
-    if alg == "origzf":
-        return pump.run_original_fp(
-            instance,
-            max_iter=cfg.max_iter,
-            rng=rng,
-            zero_frac_flips=True,
-            tt_range=cfg.tt_range,
-            record=False,
-        )
-    if alg == "mbwalksat":
-        return pump.run_mb_walksat(instance, cfg.flips, max_iter=cfg.max_iter, rng=rng, record=False)
-    if alg == "wfp":
-        return pump.run_wfp(instance, cfg.flips, max_iter=cfg.max_iter, rng=rng, record=False)
-    if alg == "wfpc":
-        return pump.run_wfp_compressed(
-            instance, cfg.flips, max_iter=cfg.max_iter, rng=rng, record=False
-        )
-    if alg == "wfpbase":
-        return pump.run_wfpbase_fp(
-            instance, max_iter=cfg.max_iter, rng=rng, tt_range=cfg.tt_range, record=False
-        )
-    raise ValueError(f"unknown algorithm {alg!r}")
-
-
-def _run_one(task) -> BenchRow:
-    cfg, inst_idx, alg_idx, seed = task
+def _run_one(cfg: BenchConfig, task) -> BenchRow:
+    inst_idx, alg_idx, seed = task
     instance = cfg.instances[inst_idx]
     alg = cfg.algorithms[alg_idx]
     rng = _run_rng(seed, inst_idx, alg_idx)
     start = time.perf_counter()
     try:
-        trace = _dispatch(alg, instance, rng, cfg)
+        trace = pump.run(alg, instance, rng, max_iter=cfg.max_iter, flips=cfg.flips,
+                         tt_range=cfg.tt_range, record=False)
         outcome = trace.outcome
         iters, perts, restarts = trace.iterations, trace.perturbations, trace.restarts
     except PumpLabError:
@@ -187,8 +159,6 @@ class BenchTable:
     by_seed: dict
     means: dict
     ratios: dict
-    time_shift: float
-    iter_shift: float
 
     def render(self) -> str:
         algs, seeds = self.algorithms, self.seeds
@@ -200,7 +170,7 @@ class BenchTable:
             ("time sgm", "time_sgm", "{:.3f}"),
             ("itr sgm", "iter_sgm", "{:.2f}"),
         ]
-        out = [f"sgm shifts: time {self.time_shift:g}, iterations {self.iter_shift:g}"]
+        out = [f"sgm shifts: time {SGM_SHIFT:g}, iterations {SGM_SHIFT:g}"]
         header1 = "seed".ljust(6)
         header2 = " " * 6
         for label, _, _ in groups:
@@ -231,7 +201,7 @@ class BenchTable:
         return "\n".join(out) + "\n"
 
 
-def make_table(rows: Sequence[BenchRow], time_shift: float = 1.0, iter_shift: float = 1.0) -> BenchTable:
+def make_table(rows: Sequence[BenchRow]) -> BenchTable:
     algs = tuple(sorted(set(r.algorithm for r in rows)))
     seeds = tuple(sorted(set(r.seed for r in rows)))
     by_seed: dict = {}
@@ -242,8 +212,8 @@ def make_table(rows: Sequence[BenchRow], time_shift: float = 1.0, iter_shift: fl
             by_seed[(alg, seed)] = {
                 "runs": len(group),
                 "found": len(found),
-                "time_sgm": shifted_geomean([r.wall_time_s for r in group], time_shift),
-                "iter_sgm": shifted_geomean([r.iterations for r in group], iter_shift),
+                "time_sgm": shifted_geomean([r.wall_time_s for r in group], SGM_SHIFT),
+                "iter_sgm": shifted_geomean([r.iterations for r in group], SGM_SHIFT),
             }
     means = {
         (alg, key): float(np.mean([by_seed[(alg, s)][key] for s in seeds])) if seeds else 0.0
@@ -263,8 +233,6 @@ def make_table(rows: Sequence[BenchRow], time_shift: float = 1.0, iter_shift: fl
         by_seed=by_seed,
         means=means,
         ratios=ratios,
-        time_shift=time_shift,
-        iter_shift=iter_shift,
     )
 
 
@@ -282,9 +250,22 @@ class BenchResult:
         return self.table.render()
 
 
+# the config of the pool a worker process belongs to, set as the worker starts
+_worker_cfg: BenchConfig
+
+
+def _start_worker(cfg: BenchConfig) -> None:
+    global _worker_cfg
+    _worker_cfg = cfg
+
+
+def _run_in_worker(task) -> BenchRow:
+    return _run_one(_worker_cfg, task)
+
+
 def run_benchmark(cfg: BenchConfig) -> BenchResult:
     tasks = [
-        (cfg, i, a, seed)
+        (i, a, seed)
         for i in range(len(cfg.instances))
         for a in range(len(cfg.algorithms))
         for seed in cfg.seeds
@@ -293,12 +274,12 @@ def run_benchmark(cfg: BenchConfig) -> BenchResult:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(cfg.workers) as pool:
-            rows = pool.map(_run_one, tasks, chunksize=1)
+        with ctx.Pool(cfg.workers, initializer=_start_worker, initargs=(cfg,)) as pool:
+            rows = pool.map(_run_in_worker, tasks, chunksize=1)
     else:
-        rows = [_run_one(t) for t in tasks]
+        rows = [_run_one(cfg, t) for t in tasks]
     rows.sort(key=lambda r: (r.instance, r.algorithm, r.seed))
-    return BenchResult(rows=rows, table=make_table(rows, cfg.time_shift, cfg.iter_shift))
+    return BenchResult(rows=rows, table=make_table(rows))
 
 
 def write_csv(rows: Sequence[BenchRow], path=None, include_timing: bool = True) -> str:

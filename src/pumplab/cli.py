@@ -15,8 +15,6 @@ import argparse
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import bench as benchmod
 from .errors import PumpLabError
 from .formats import parse_mps, read_native, write_mps, write_native
@@ -30,6 +28,7 @@ from .gen import (
 )
 from .model import MixedBinaryInstance
 from .perturb import DEFAULT_TT_RANGE, make_rng
+from .projection import round_binary
 from . import pump
 
 
@@ -64,35 +63,9 @@ def load_instance(spec: str) -> MixedBinaryInstance:
     return read_native(text)
 
 
-def _drive(alg: str, instance: MixedBinaryInstance, *, seed: int, flips: int,
-           max_iter: int, tt_range, record: bool):
-    rng = make_rng(seed)
-    if alg == "naive":
-        return pump.run_naive_fp(instance, max_iter=max_iter, record=record)
-    if alg == "orig":
-        return pump.run_original_fp(
-            instance, max_iter=max_iter, rng=rng, tt_range=tt_range, record=record
-        )
-    if alg == "origzf":
-        return pump.run_original_fp(
-            instance, max_iter=max_iter, rng=rng, zero_frac_flips=True,
-            tt_range=tt_range, record=record,
-        )
-    if alg == "mbwalksat":
-        return pump.run_mb_walksat(instance, flips, max_iter=max_iter, rng=rng, record=record)
-    if alg == "wfp":
-        return pump.run_wfp(instance, flips, max_iter, rng, record=record)
-    if alg == "wfpc":
-        return pump.run_wfp_compressed(instance, flips, max_iter, rng, record=record)
-    if alg == "wfpbase":
-        return pump.run_wfpbase_fp(
-            instance, max_iter=max_iter, rng=rng, tt_range=tt_range, record=record
-        )
-    raise ValueError(f"unknown algorithm {alg!r}")
-
-
 def _point_lines(point) -> list[str]:
-    x = " ".join(str(int(v)) for v in point.x)
+    # found points are binary within INT_TOL, so print their rounding
+    x = " ".join(str(v) for v in round_binary(point.x))
     lines = [f"x: {x}"]
     if point.y.size:
         lines.append("y: " + " ".join(repr(float(v)) for v in point.y))
@@ -131,12 +104,15 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_solve(args) -> int:
-    instance = load_instance(args.instance)
-    trace = _drive(
-        args.alg, instance, seed=args.seed, flips=args.flips,
-        max_iter=args.max_iter, tt_range=args.tt, record=False,
+def _run(args, record: bool):
+    return pump.run(
+        args.alg, load_instance(args.instance), make_rng(args.seed), max_iter=args.max_iter,
+        flips=args.flips, tt_range=args.tt, record=record,
     )
+
+
+def cmd_solve(args) -> int:
+    trace = _run(args, record=False)
     print(f"outcome: {trace.outcome}")
     print(
         f"iterations: {trace.iterations} perturbations: {trace.perturbations} "
@@ -149,11 +125,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    instance = load_instance(args.instance)
-    trace = _drive(
-        args.alg, instance, seed=args.seed, flips=args.flips,
-        max_iter=args.max_iter, tt_range=args.tt, record=True,
-    )
+    trace = _run(args, record=True)
     trace.seed = args.seed
     sys.stdout.write("\n".join(trace.to_lines()) + "\n")
     return 0
@@ -220,6 +192,8 @@ def cmd_verify_bounds(args) -> int:
 
 
 def _add_run_flags(p, max_iter_default: int):
+    p.add_argument("--alg", required=True, choices=list(pump.ALGORITHMS))
+    p.add_argument("instance")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--flips", "--l", dest="flips", type=int, default=2,
                    help="certificate flips per perturbation")
@@ -254,14 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="run one algorithm on one instance")
-    p.add_argument("--alg", required=True, choices=list(benchmod.KNOWN_ALGORITHMS))
-    p.add_argument("instance")
     _add_run_flags(p, 10_000)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("trace", help="replay one run and dump its event log")
-    p.add_argument("--alg", required=True, choices=list(benchmod.KNOWN_ALGORITHMS))
-    p.add_argument("instance")
     _add_run_flags(p, 50)
     p.set_defaults(func=cmd_trace)
 

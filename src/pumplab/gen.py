@@ -16,7 +16,7 @@ generated instance feasible by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -213,29 +213,3 @@ def zero_frac_stall_instance(t_max: int) -> MixedBinaryInstance:
         rows=(LinearRow(coeffs, {}, Sense.EQ, float(5 * t_max + 5)),),
         objective=Objective({t_max + 1: 1.0}),
     )
-
-
-@dataclass(frozen=True)
-class GenSpec:
-    """Declarative recipe (family, params, seed) for building an instance."""
-
-    family: str
-    seed: int = 0
-    params: dict = field(default_factory=dict)
-
-    def build(self) -> MixedBinaryInstance:
-        from .perturb import make_rng
-
-        fam = self.family
-        if fam == "subset-sum":
-            return gen_subset_sum(rng=make_rng(self.seed), **self.params).instance
-        if fam == "decomposable":
-            block = BlockSpec(**{k: v for k, v in self.params.items() if k in ("n", "d", "rows", "s", "coeff_max")})
-            return gen_decomposable(self.params.get("k", 1), block, make_rng(self.seed)).instance
-        if fam == "two-stage":
-            return gen_two_stage(rng=make_rng(self.seed), **self.params).instance
-        if fam == "fractional-stall":
-            return fractional_stall_instance()
-        if fam == "zero-frac-stall":
-            return zero_frac_stall_instance(self.params.get("t_max", 3))
-        raise ValueError(f"unknown family {self.family!r}")

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInstance, NonBinaryVector
+from .errors import DimensionMismatch, InvalidInstance
 
 
 class Sense(str, Enum):
@@ -66,10 +66,6 @@ class LinearRow:
     @property
     def bin_support(self) -> tuple[int, ...]:
         return tuple(self.bin_coeffs)
-
-    @property
-    def cont_support(self) -> tuple[int, ...]:
-        return tuple(self.cont_coeffs)
 
 
 @dataclass(frozen=True)
@@ -331,35 +327,3 @@ def detect_blocks(instance: MixedBinaryInstance) -> tuple[Block, ...]:
         for g in sorted(groups.values(), key=sort_key)
     ]
     return tuple(blocks)
-
-
-# ---------------------------------------------------------------------------
-# small vector helpers used throughout
-
-
-def supp(v: Iterable[float]) -> tuple[int, ...]:
-    arr = np.asarray(list(v) if not isinstance(v, np.ndarray) else v)
-    return tuple(int(j) for j in np.flatnonzero(arr != 0))
-
-
-def norm0(v) -> int:
-    return len(supp(v))
-
-
-def norm1(v) -> float:
-    return float(np.abs(np.asarray(v, dtype=float)).sum())
-
-
-def is_binary_vector(v, tol: float = 0.0) -> bool:
-    arr = np.asarray(v, dtype=float)
-    return bool(np.all((np.abs(arr) <= tol) | (np.abs(arr - 1.0) <= tol)))
-
-
-def hamming(u, w) -> int:
-    a = np.asarray(u)
-    b = np.asarray(w)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    if not is_binary_vector(a) or not is_binary_vector(b):
-        raise NonBinaryVector("hamming distance is defined on 0/1 vectors")
-    return int(np.sum(a.astype(np.int8) != b.astype(np.int8)))

@@ -1,8 +1,8 @@
 """Randomized flip rules used on stalls and restarts.
 
-All randomness flows through numpy Generators created by make_rng /
-spawn_rng so that every run is replayable from (seed, run index). Each
-rule documents exactly how many draws it consumes; the hybrid rule
+All randomness flows through numpy Generators passed in by the caller
+(make_rng for a single seed), so every run is replayable from its seed.
+Each rule documents exactly how many draws it consumes; the hybrid rule
 deliberately consumes the same draws as the original rule whenever
 TT <= |F| so traces of the two coincide on such runs.
 """
@@ -24,11 +24,6 @@ FRAC_TOL = 1e-9
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def spawn_rng(base_seed: int, index: int) -> np.random.Generator:
-    """Independent stream #index derived from one base seed."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=base_seed, spawn_key=(index,))))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from .errors import InstanceInfeasible, NoFixpoint, NonBinaryVector
 from .lp import LpProblem, LpStatus, SimplexSolver
 from .model import (
     MixedBinaryInstance,
-    MixedPoint,
     Sense,
     dense_objective,
     dense_rows,
@@ -32,24 +31,29 @@ ROUND_SNAP = 1e-9
 INT_TOL = 1e-6
 
 
-def round_binary(v, snap: float = ROUND_SNAP) -> np.ndarray:
+def round_binary(v) -> np.ndarray:
     """Componentwise nearest 0/1 with ties at 0.5 going up.
 
-    Values within `snap` of 0.5 are treated as exactly 0.5 first, so solver
-    noise cannot flip the tie direction.
+    Values within ROUND_SNAP of 0.5 are treated as exactly 0.5 first, so
+    solver noise cannot flip the tie direction.
     """
     arr = np.asarray(v, dtype=float).reshape(-1)
     if arr.size and (arr.min() < -1e-6 or arr.max() > 1.0 + 1e-6):
         raise NonBinaryVector("rounding expects values in [0, 1]")
     arr = arr.copy()
-    arr[np.abs(arr - 0.5) <= snap] = 0.5
+    arr[np.abs(arr - 0.5) <= ROUND_SNAP] = 0.5
     return (arr >= 0.5).astype(np.int8)
+
+
+def is_integral(x_bar: np.ndarray, rounded: np.ndarray) -> bool:
+    """x_bar is within INT_TOL of its rounding round_binary(x_bar)."""
+    return bool(x_bar.size == 0 or np.max(np.abs(x_bar - rounded)) <= INT_TOL)
 
 
 def as_binary(v) -> np.ndarray:
     arr = np.ascontiguousarray(v, dtype=np.int8).reshape(-1)
     src = np.asarray(v, dtype=float).reshape(-1)
-    if not np.all((src == 0.0) | (src == 1.0)):
+    if not ((src == 0.0) | (src == 1.0)).all():
         raise NonBinaryVector("expected an exact 0/1 vector")
     return arr
 
@@ -66,10 +70,9 @@ class ProjectionEntry(NamedTuple):
 class ProjectionOracle:
     """Warm LP engine + memo table for one instance's l1 projections."""
 
-    def __init__(self, instance: MixedBinaryInstance, int_tol: float = INT_TOL):
+    def __init__(self, instance: MixedBinaryInstance):
         self.instance = instance
         self.norm = normalize(instance)
-        self.int_tol = int_tol
         A, B, _, b = dense_rows(self.norm)
         self.A, self.B, self.b = A, B, b
         n, d = instance.n, instance.d
@@ -119,53 +122,28 @@ class ProjectionOracle:
         y_bar = sol.x[self.n :]
         distance = float(sol.objective + int(arr.sum()))
         rounded = round_binary(x_bar)
-        integral = bool(self.n == 0 or np.max(np.abs(x_bar - rounded)) <= self.int_tol)
-        entry = ProjectionEntry(x_bar, y_bar, distance, rounded, rounded.tobytes(), integral)
+        entry = ProjectionEntry(x_bar, y_bar, distance, rounded, rounded.tobytes(), is_integral(x_bar, rounded))
         self.cache[key] = entry
         self.lp_solves += 1
         return entry
 
-    def rows_violated(self, x, y, tol: float = 1e-9) -> np.ndarray:
-        """Indices of normalized rows violated at (x, y)."""
+    def pair_feasible(self, x, y) -> bool:
+        """(x, y) satisfies every normalized row to within 1e-9."""
         lhs = self.A @ x if self.norm.m else np.zeros(0)
         if self.d:
             lhs = lhs + self.B @ y
-        return np.flatnonzero(lhs > self.b + tol)
-
-    def pair_feasible(self, x, y, tol: float = 1e-9) -> bool:
-        return self.rows_violated(x, y, tol).size == 0
-
-
-def l1_proj(instance: MixedBinaryInstance, x_tilde, oracle: Optional[ProjectionOracle] = None):
-    """The closest point of the relaxation in binary l1 distance.
-
-    Returns (MixedPoint, distance). Pass an oracle to share the warm solver
-    and memo table across calls on the same instance.
-    """
-    oracle = oracle if oracle is not None else ProjectionOracle(instance)
-    e = oracle.entry(as_binary(x_tilde))
-    return MixedPoint(e.x_bar.copy(), e.y_bar.copy()), e.distance
-
-
-def alt_proj(instance: MixedBinaryInstance, x_tilde, oracle: Optional[ProjectionOracle] = None) -> np.ndarray:
-    """round(l1_proj(x~)): one step of the alternating projection map."""
-    oracle = oracle if oracle is not None else ProjectionOracle(instance)
-    return oracle.entry(as_binary(x_tilde)).rounded.copy()
+        return not (lhs > self.b + 1e-9).any()
 
 
 def alt_proj_star(
-    instance: MixedBinaryInstance,
-    x_tilde,
-    cap: Optional[int] = None,
-    oracle: Optional[ProjectionOracle] = None,
+    instance: MixedBinaryInstance, x_tilde, oracle: Optional[ProjectionOracle] = None
 ) -> np.ndarray:
-    """Iterate alt_proj to its fixpoint.
+    """Iterate x -> round_binary(projection of x) to its fixpoint.
 
-    The cap defaults to 2n + 10 applications; running out raises NoFixpoint.
+    Running out of 2n + 10 applications raises NoFixpoint.
     """
     oracle = oracle if oracle is not None else ProjectionOracle(instance)
-    if cap is None:
-        cap = 2 * instance.n + 10
+    cap = 2 * instance.n + 10
     z = as_binary(x_tilde)
     key = z.tobytes()
     for _ in range(cap):
@@ -174,17 +152,3 @@ def alt_proj_star(
             return z.copy()
         z, key = e.rounded, e.rounded_key
     raise NoFixpoint(f"no alternating-projection fixpoint within {cap} applications")
-
-
-def is_stalling(instance: MixedBinaryInstance, x_tilde, oracle: Optional[ProjectionOracle] = None) -> bool:
-    """True when x~ is a fixpoint of round(l1_proj(.)) and not feasible itself.
-
-    Feasible binary points project to themselves, so they are fixpoints too;
-    a stalling point is an infeasible one.
-    """
-    oracle = oracle if oracle is not None else ProjectionOracle(instance)
-    z = as_binary(x_tilde)
-    e = oracle.entry(z)
-    if e.rounded_key != z.tobytes():
-        return False
-    return e.distance > 1e-9

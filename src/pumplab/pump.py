@@ -1,16 +1,14 @@
 """Pump drivers: the alternating-projection loop and its randomized escapes.
 
-Five drivers share the same skeleton (project, round, compare against the
-previous rounded point) and differ in what happens on a stall:
+The pump variants share one loop, _pump (relaxation, round, then project,
+test for acceptance and compare the rounded point with the previous one),
+and differ only in its stall, revisit and acceptance policies.
+run_mb_walksat walks by certificate flips alone, and run_wfp_compressed
+collapses each projection sequence to its fixpoint before perturbing.
 
-- run_naive_fp        nothing; the loop just runs out
-- run_original_fp     fractionality-guided flips (optionally ranking
-                      zero-fractionality coordinates too)
-- run_wfp             flips drawn from a minimal certificate's support
-- run_wfp_compressed  collapses projection sequences to their fixpoint
-                      first, then perturbs every iteration
-- run_wfpbase_fp      fractionality flips extended into violated-row
-                      supports, plus randomized restarts on longer cycles
+run() starts a variant by its name in ALGORITHMS. The run_* functions,
+the flip rules and lift are looked up in this module's namespace when
+they are called, so a wrapper installed on the module sees every call.
 
 Every driver returns a PumpTrace; `iterations` counts projection steps
 (perturbation rounds for the walk driver), and Found outcomes carry a
@@ -21,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .certificate import CertificateOracle
-from .errors import NoFixpoint, NotACertificate
+from .errors import NotACertificate
 from .lp import lift
 from .model import MixedBinaryInstance, MixedPoint
 from .perturb import (
@@ -37,8 +35,9 @@ from .perturb import (
     restart_perturb,
     wfpbase_perturb,
 )
-from .projection import ProjectionOracle, round_binary
+from .projection import ProjectionOracle, alt_proj_star, is_integral, round_binary
 
+# rounded points wfpbase remembers for its revisit test; the oldest goes first
 HISTORY_CAP = 10_000
 
 
@@ -56,14 +55,13 @@ class PumpTrace:
     algorithm: str
     instance: str
     seed: Optional[int]
-    outcome: str = "iter_limit"          # found | iter_limit | error
+    outcome: str = "iter_limit"          # found | iter_limit
     point: Optional[MixedPoint] = None
     iterations: int = 0
     perturbations: int = 0
     restarts: int = 0
     records: list[TraceRecord] = field(default_factory=list)
     cycle: Optional[tuple[str, int]] = None
-    message: str = ""
 
     @property
     def found(self) -> bool:
@@ -88,28 +86,106 @@ class PumpTrace:
         return lines
 
 
-class _Run:
-    """Bookkeeping shared by the drivers."""
+def _found(trace: PumpTrace, t: int, point: MixedPoint, record: bool) -> PumpTrace:
+    trace.outcome = "found"
+    trace.point = point
+    trace.iterations = t
+    if record:
+        trace.records.append(TraceRecord(t, "return"))
+    return trace
 
-    def __init__(self, algorithm: str, instance: MixedBinaryInstance, seed, record: bool):
-        self.trace = PumpTrace(algorithm, instance.name, seed)
-        self.record = record
 
-    def note(self, t, event, kind="", flipped=(), distance=None):
-        if self.record:
-            self.trace.records.append(TraceRecord(t, event, kind, flipped, distance))
+def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, record: bool, *,
+          stall: Optional[str] = None, revisit: Optional[str] = None, accept_rounded: bool = False,
+          tt_range=DEFAULT_TT_RANGE, l: int = 0) -> PumpTrace:
+    """The project -> round -> compare loop behind every pump variant.
 
-    def found(self, t, point: MixedPoint):
-        self.trace.outcome = "found"
-        self.trace.point = point
-        self.trace.iterations = t
-        self.note(t, "return")
-        return self.trace
-
-    def limit(self, max_iter):
-        self.trace.outcome = "iter_limit"
-        self.trace.iterations = max_iter
-        return self.trace
+    stall: on a repeat of the previous rounded point, nothing (None),
+    fractionality flips ("original", "original-zf"), l flips in a minimal
+    certificate's support ("certificate"; a point with no certificate is
+    lifted and returned) or the hybrid rule ("wfpbase").
+    revisit: on a repeat of an older rounded point, nothing (None), file
+    the first one into trace.cycle ("classify") or restart from it with a
+    fresh visited set ("restart").
+    accept_rounded: return the rounded point once it is feasible with the
+    projection's y, testing nothing at t = 0; otherwise return an integral
+    projection, the t = 0 relaxation included.
+    """
+    oracle = ProjectionOracle(instance)
+    trace = PumpTrace(algorithm, instance.name, None)
+    records = trace.records
+    x_bar, y_bar = oracle.relaxation()
+    cur = round_binary(x_bar)
+    if not accept_rounded and is_integral(x_bar, cur):
+        return _found(trace, 0, MixedPoint(x_bar, y_bar), record)
+    if record:
+        records.append(TraceRecord(0, "round"))
+    prev_key = cur.tobytes()
+    visited = {prev_key: 0}
+    certs: Optional[CertificateOracle] = None
+    for t in range(1, max_iter + 1):
+        e = oracle.entry(cur)
+        if record:
+            records.append(TraceRecord(t, "project", distance=e.distance))
+        nxt, new_key = e.rounded, e.rounded_key
+        if accept_rounded:
+            if record:
+                records.append(TraceRecord(t, "round"))
+            if oracle.pair_feasible(nxt.astype(float), e.y_bar):
+                return _found(trace, t, MixedPoint(nxt.astype(float), e.y_bar.copy()), record)
+        elif e.integral:
+            return _found(trace, t, MixedPoint(e.x_bar.copy(), e.y_bar.copy()), record)
+        elif record:
+            records.append(TraceRecord(t, "round"))
+        if new_key == prev_key:
+            if record:
+                records.append(TraceRecord(t, "stall"))
+            if stall is not None:
+                if stall == "original":
+                    out = original_perturb(nxt, e.x_bar, rng, tt_range)
+                elif stall == "original-zf":
+                    out = original_perturb_zero_frac(nxt, e.x_bar, rng, tt_range)
+                elif stall == "wfpbase":
+                    out = wfpbase_perturb(nxt, e.x_bar, e.y_bar, instance, rng, tt_range,
+                                          (oracle.A, oracle.B, oracle.b))
+                else:
+                    if certs is None:
+                        certs = CertificateOracle(instance)
+                    try:
+                        cert = certs.min_certificate(nxt.astype(float))
+                    except NotACertificate:
+                        # the rounded point is in the projection after all
+                        # (possible only with continuous columns); lift it
+                        lifted = lift(instance, nxt.astype(float))
+                        if lifted is not None:
+                            return _found(trace, t, lifted, record)
+                        raise
+                    out = perturb_l(nxt, cert, l, rng)
+                trace.perturbations += 1
+                if record:
+                    records.append(TraceRecord(t, "perturb", out.kind, out.flipped))
+                nxt, new_key = out.x_new, out.x_new.tobytes()
+        elif revisit == "restart" and new_key in visited:
+            out = restart_perturb(nxt, e.x_bar, rng)
+            trace.restarts += 1
+            if record:
+                records.append(TraceRecord(t, "restart", out.kind, out.flipped))
+            visited = {}
+            nxt, new_key = out.x_new, out.x_new.tobytes()
+        if revisit == "restart":
+            if len(visited) >= HISTORY_CAP:
+                visited.pop(next(iter(visited)))
+            visited[new_key] = t
+        elif revisit == "classify" and trace.cycle is None:
+            seen = visited.get(new_key)
+            if seen is not None:
+                gap = t - seen
+                trace.cycle = ("one" if gap == 1 else "long", gap)
+            else:
+                visited[new_key] = t
+        cur, prev_key = nxt, new_key
+    trace.iterations = max_iter
+    return trace
 
 
 def run_naive_fp(instance: MixedBinaryInstance, max_iter: int = 10_000, record: bool = True) -> PumpTrace:
@@ -118,34 +194,7 @@ def run_naive_fp(instance: MixedBinaryInstance, max_iter: int = 10_000, record: 
     The first revisited rounded point is classified into trace.cycle as
     ("one", 1) or ("long", gap).
     """
-    oracle = ProjectionOracle(instance)
-    run = _Run("naive", instance, None, record)
-    x_bar, y_bar = oracle.relaxation()
-    rounded = round_binary(x_bar)
-    if instance.n == 0 or np.max(np.abs(x_bar - rounded)) <= oracle.int_tol:
-        return run.found(0, MixedPoint(x_bar, y_bar))
-    run.note(0, "round")
-    cur = rounded
-    prev_key = cur.tobytes()
-    visited = {prev_key: 0}
-    for t in range(1, max_iter + 1):
-        e = oracle.entry(cur)
-        run.note(t, "project", distance=e.distance)
-        if e.integral:
-            return run.found(t, MixedPoint(e.x_bar.copy(), e.y_bar.copy()))
-        run.note(t, "round")
-        new_key = e.rounded_key
-        if new_key == prev_key:
-            run.note(t, "stall")
-        if run.trace.cycle is None:
-            seen = visited.get(new_key)
-            if seen is not None:
-                gap = t - seen
-                run.trace.cycle = ("one" if gap == 1 else "long", gap)
-            else:
-                visited[new_key] = t
-        cur, prev_key = e.rounded, new_key
-    return run.limit(max_iter)
+    return _pump("naive", instance, max_iter, None, record, revisit="classify")
 
 
 def run_original_fp(
@@ -158,31 +207,33 @@ def run_original_fp(
 ) -> PumpTrace:
     """Naive loop plus fractionality-guided flips whenever the rounded point
     repeats the previous iterate."""
-    oracle = ProjectionOracle(instance)
-    rule = original_perturb_zero_frac if zero_frac_flips else original_perturb
-    run = _Run("origzf" if zero_frac_flips else "orig", instance, None, record)
-    x_bar, y_bar = oracle.relaxation()
-    rounded = round_binary(x_bar)
-    if instance.n == 0 or np.max(np.abs(x_bar - rounded)) <= oracle.int_tol:
-        return run.found(0, MixedPoint(x_bar, y_bar))
-    run.note(0, "round")
-    cur = rounded
-    prev_key = cur.tobytes()
-    for t in range(1, max_iter + 1):
-        e = oracle.entry(cur)
-        run.note(t, "project", distance=e.distance)
-        if e.integral:
-            return run.found(t, MixedPoint(e.x_bar.copy(), e.y_bar.copy()))
-        run.note(t, "round")
-        nxt, new_key = e.rounded, e.rounded_key
-        if new_key == prev_key:
-            run.note(t, "stall")
-            out = rule(nxt, e.x_bar, rng, tt_range)
-            run.trace.perturbations += 1
-            run.note(t, "perturb", kind=out.kind, flipped=out.flipped)
-            nxt, new_key = out.x_new, out.x_new.tobytes()
-        cur, prev_key = nxt, new_key
-    return run.limit(max_iter)
+    if zero_frac_flips:
+        return _pump("origzf", instance, max_iter, rng, record, stall="original-zf", tt_range=tt_range)
+    return _pump("orig", instance, max_iter, rng, record, stall="original", tt_range=tt_range)
+
+
+def run_wfp(
+    instance: MixedBinaryInstance,
+    l: int,
+    max_iter: int,
+    rng: np.random.Generator,
+    record: bool = True,
+) -> PumpTrace:
+    """Pump whose stalls are escaped by certificate-support flips."""
+    return _pump("wfp", instance, max_iter, rng, record, stall="certificate", accept_rounded=True, l=l)
+
+
+def run_wfpbase_fp(
+    instance: MixedBinaryInstance,
+    max_iter: int,
+    rng: np.random.Generator,
+    tt_range=DEFAULT_TT_RANGE,
+    record: bool = True,
+) -> PumpTrace:
+    """Hybrid pump: fractionality flips widened into violated-row supports
+    on stalls, randomized restarts when an older rounded point recurs."""
+    return _pump("wfpbase", instance, max_iter, rng, record, stall="wfpbase", revisit="restart",
+                 tt_range=tt_range)
 
 
 def _feasible_lift(instance, oracle: ProjectionOracle, x: np.ndarray, cache: dict):
@@ -214,7 +265,7 @@ def run_mb_walksat(
         raise ValueError("rng is required")
     oracle = ProjectionOracle(instance)  # validates feasibility, serves row checks
     certs = CertificateOracle(instance)
-    run = _Run("mbwalksat", instance, None, record)
+    trace = PumpTrace("mbwalksat", instance.name, None)
     if start is None:
         x = rng.integers(0, 2, size=instance.n).astype(np.int8)
     else:
@@ -225,60 +276,17 @@ def run_mb_walksat(
     for t in range(max_iter + 1):
         lifted = _feasible_lift(instance, oracle, x, lifts)
         if lifted is not None:
-            run.trace.perturbations = t
-            return run.found(t, lifted)
+            trace.perturbations = t
+            return _found(trace, t, lifted, record)
         if t == max_iter:
             break
         cert = certs.min_certificate(x.astype(float))
         out = perturb_l(x, cert, l, rng)
-        run.note(t + 1, "perturb", kind=out.kind, flipped=out.flipped)
+        if record:
+            trace.records.append(TraceRecord(t + 1, "perturb", out.kind, out.flipped))
         x = out.x_new
-    run.trace.perturbations = max_iter
-    return run.limit(max_iter)
-
-
-def run_wfp(
-    instance: MixedBinaryInstance,
-    l: int,
-    max_iter: int,
-    rng: np.random.Generator,
-    record: bool = True,
-) -> PumpTrace:
-    """Pump whose stalls are escaped by certificate-support flips."""
-    oracle = ProjectionOracle(instance)
-    certs: Optional[CertificateOracle] = None
-    run = _Run("wfp", instance, None, record)
-    x_bar, _ = oracle.relaxation()
-    cur = round_binary(x_bar)
-    run.note(0, "round")
-    prev_key = cur.tobytes()
-    for t in range(1, max_iter + 1):
-        e = oracle.entry(cur)
-        run.note(t, "project", distance=e.distance)
-        x_t = e.rounded
-        run.note(t, "round")
-        if oracle.pair_feasible(x_t.astype(float), e.y_bar):
-            return run.found(t, MixedPoint(x_t.astype(float), e.y_bar.copy()))
-        nxt, new_key = x_t, e.rounded_key
-        if new_key == prev_key:
-            run.note(t, "stall")
-            if certs is None:
-                certs = CertificateOracle(instance)
-            try:
-                cert = certs.min_certificate(x_t.astype(float))
-            except NotACertificate:
-                # the rounded point is in the projection after all (possible
-                # only with continuous columns); lift it and return
-                lifted = lift(instance, x_t.astype(float))
-                if lifted is not None:
-                    return run.found(t, lifted)
-                raise
-            out = perturb_l(x_t, cert, l, rng)
-            run.trace.perturbations += 1
-            run.note(t, "perturb", kind=out.kind, flipped=out.flipped)
-            nxt, new_key = out.x_new, out.x_new.tobytes()
-        cur, prev_key = nxt, new_key
-    return run.limit(max_iter)
+    trace.perturbations = trace.iterations = max_iter
+    return trace
 
 
 def run_wfp_compressed(
@@ -286,107 +294,58 @@ def run_wfp_compressed(
     l: int,
     max_iter: int,
     rng: np.random.Generator,
-    cap: Optional[int] = None,
     record: bool = True,
 ) -> PumpTrace:
     """Collapse each projection sequence to its fixpoint, then perturb.
 
     Raises NoFixpoint when the alternating projection fails to settle
-    within the cap (cannot happen on single-row subset-sum instances).
+    within alt_proj_star's cap (cannot happen on single-row subset-sum
+    instances).
     """
     oracle = ProjectionOracle(instance)
     certs = CertificateOracle(instance)
-    run = _Run("wfpc", instance, None, record)
-    if cap is None:
-        cap = 2 * instance.n + 10
+    trace = PumpTrace("wfpc", instance.name, None)
     x_bar, _ = oracle.relaxation()
     z = round_binary(x_bar)
-    run.note(0, "round")
+    if record:
+        trace.records.append(TraceRecord(0, "round"))
     lifts: dict = {}
     for t in range(1, max_iter + 1):
-        key = z.tobytes()
-        for _ in range(cap):
-            e = oracle.entry(z)
-            if e.rounded_key == key:
-                break
-            z, key = e.rounded, e.rounded_key
-        else:
-            run.trace.outcome = "error"
-            run.trace.iterations = t
-            run.trace.message = f"no fixpoint within {cap} projections"
-            raise NoFixpoint(run.trace.message)
-        run.note(t, "altproj", distance=oracle.entry(z).distance)
+        z = alt_proj_star(instance, z, oracle=oracle)
+        distance = oracle.entry(z).distance
+        if record:
+            trace.records.append(TraceRecord(t, "altproj", distance=distance))
         lifted = _feasible_lift(instance, oracle, z, lifts)
         if lifted is not None:
-            return run.found(t, lifted)
+            return _found(trace, t, lifted, record)
         cert = certs.min_certificate(z.astype(float))
         out = perturb_l(z, cert, l, rng)
-        run.trace.perturbations += 1
-        run.note(t, "perturb", kind=out.kind, flipped=out.flipped)
+        trace.perturbations += 1
+        if record:
+            trace.records.append(TraceRecord(t, "perturb", out.kind, out.flipped))
         z = out.x_new
-    return run.limit(max_iter)
+    trace.iterations = max_iter
+    return trace
 
 
-def run_wfpbase_fp(
-    instance: MixedBinaryInstance,
-    max_iter: int,
-    rng: np.random.Generator,
-    tt_range=DEFAULT_TT_RANGE,
-    record: bool = True,
-    history_cap: int = HISTORY_CAP,
-) -> PumpTrace:
-    """Hybrid pump: fractionality flips widened into violated-row supports
-    on stalls, randomized restarts when an older rounded point recurs."""
-    oracle = ProjectionOracle(instance)
-    dense_ctx = (oracle.A, oracle.B, oracle.b)
-    run = _Run("wfpbase", instance, None, record)
-    x_bar, y_bar = oracle.relaxation()
-    rounded = round_binary(x_bar)
-    if instance.n == 0 or np.max(np.abs(x_bar - rounded)) <= oracle.int_tol:
-        return run.found(0, MixedPoint(x_bar, y_bar))
-    run.note(0, "round")
-    cur = rounded
-    prev_key = cur.tobytes()
-    visited = {prev_key: 0}
-    for t in range(1, max_iter + 1):
-        e = oracle.entry(cur)
-        run.note(t, "project", distance=e.distance)
-        if e.integral:
-            return run.found(t, MixedPoint(e.x_bar.copy(), e.y_bar.copy()))
-        run.note(t, "round")
-        nxt, new_key = e.rounded, e.rounded_key
-        if new_key == prev_key:
-            run.note(t, "stall")
-            out = wfpbase_perturb(nxt, e.x_bar, e.y_bar, instance, rng, tt_range, dense_ctx)
-            run.trace.perturbations += 1
-            run.note(t, "perturb", kind=out.kind, flipped=out.flipped)
-            nxt, new_key = out.x_new, out.x_new.tobytes()
-        elif new_key in visited:
-            out = restart_perturb(nxt, e.x_bar, rng)
-            run.trace.restarts += 1
-            run.note(t, "restart", kind=out.kind, flipped=out.flipped)
-            visited = {}
-            nxt, new_key = out.x_new, out.x_new.tobytes()
-        if len(visited) >= history_cap:
-            visited.pop(next(iter(visited)))
-        visited[new_key] = t
-        cur, prev_key = nxt, new_key
-    return run.limit(max_iter)
+# name -> call(instance, rng, max_iter, flips, tt_range, record) of its run_* function
+ALGORITHMS = {
+    "naive": lambda inst, rng, it, l, tt, rec: run_naive_fp(inst, it, rec),
+    "orig": lambda inst, rng, it, l, tt, rec: run_original_fp(inst, it, rng, False, tt, rec),
+    "origzf": lambda inst, rng, it, l, tt, rec: run_original_fp(inst, it, rng, True, tt, rec),
+    "mbwalksat": lambda inst, rng, it, l, tt, rec: run_mb_walksat(inst, l, None, it, rng, rec),
+    "wfp": lambda inst, rng, it, l, tt, rec: run_wfp(inst, l, it, rng, rec),
+    "wfpc": lambda inst, rng, it, l, tt, rec: run_wfp_compressed(inst, l, it, rng, rec),
+    "wfpbase": lambda inst, rng, it, l, tt, rec: run_wfpbase_fp(inst, it, rng, tt, rec),
+}
 
 
-def detect_cycle(history: Iterable) -> Optional[tuple[str, int]]:
-    """First revisit in a sequence of binary points (arrays or bytes).
-
-    Returns ("one", 1), ("long", gap) or None.
-    """
-    seen: dict[bytes, int] = {}
-    for t, item in enumerate(history):
-        key = item if isinstance(item, bytes) else np.ascontiguousarray(item, dtype=np.int8).tobytes()
-        if key in seen:
-            gap = t - seen[key]
-            return ("one" if gap == 1 else "long", gap)
-        seen[key] = t
-    return None
+def run(alg: str, instance: MixedBinaryInstance, rng: np.random.Generator, *, max_iter: int,
+        flips: int = 2, tt_range=DEFAULT_TT_RANGE, record: bool = True) -> PumpTrace:
+    """Run the variant named alg. flips is l for the certificate variants;
+    tt_range is the flip-count range of the fractionality rules. naive
+    draws nothing from rng."""
+    return ALGORITHMS[alg](instance, rng, max_iter, flips, tt_range, record)
 
 
 @dataclass(frozen=True)

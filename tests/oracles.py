@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: enumeration over binary
 assignments, enumeration over basis subsets, Fourier-Motzkin
-elimination. Slow but obviously correct at the sizes used.
+elimination. Slow but obviously correct at the sizes used. The last two
+helpers write out the paper's definitions of the l1 norm and of a
+stalling point.
 """
 
 import itertools
@@ -158,3 +160,16 @@ def lift_exists(A, B, b, x_bar):
     if B is None or np.asarray(B).size == 0:
         return bool((resid >= -1e-9).all())
     return fm_feasible(np.atleast_2d(B), resid)
+
+
+def norm1(v):
+    return float(np.abs(np.asarray(v, dtype=float)).sum())
+
+
+def is_stalling(oracle, x_tilde):
+    """x~ is a stalling point: a fixpoint of x -> round(l1 projection of x)
+    that is not feasible itself. Feasible binary points project to
+    themselves at distance 0, so they are fixpoints too."""
+    z = np.ascontiguousarray(x_tilde, dtype=np.int8)
+    e = oracle.entry(z)
+    return e.rounded_key == z.tobytes() and e.distance > 1e-9

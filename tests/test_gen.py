@@ -4,7 +4,6 @@ import pytest
 from pumplab.formats import write_native
 from pumplab.gen import (
     BlockSpec,
-    GenSpec,
     fractional_stall_instance,
     gen_decomposable,
     gen_subset_sum,
@@ -119,24 +118,6 @@ def test_generator_validation():
         gen_two_stage(0, 2, 2, make_rng(0))
     with pytest.raises(ValueError):
         zero_frac_stall_instance(0)
-
-
-def test_spec_builds_match_direct_calls():
-    spec = GenSpec("subset-sum", seed=9, params={"k": 2, "n": 3})
-    direct = gen_subset_sum(2, 3, make_rng(9)).instance
-    assert write_native(spec.build()) == write_native(direct)
-    assert write_native(spec.build()) == write_native(spec.build())
-
-    spec = GenSpec("two-stage", seed=5, params={"k": 2, "p": 3, "q": 2})
-    direct = gen_two_stage(2, 3, 2, make_rng(5)).instance
-    assert write_native(spec.build()) == write_native(direct)
-
-    assert write_native(GenSpec("fractional-stall").build()) == write_native(fractional_stall_instance())
-    assert write_native(GenSpec("zero-frac-stall", params={"t_max": 2}).build()) == write_native(
-        zero_frac_stall_instance(2)
-    )
-    with pytest.raises(ValueError):
-        GenSpec("mystery").build()
 
 
 def test_distinct_seeds_give_distinct_instances():

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from pumplab.errors import DimensionMismatch, InvalidInstance, NonBinaryVector
+from pumplab.errors import DimensionMismatch, InvalidInstance
 from pumplab.gen import fractional_stall_instance, gen_subset_sum, gen_two_stage
 from pumplab.model import (
     Block,
@@ -13,11 +12,7 @@ from pumplab.model import (
     Sense,
     check_feasible,
     detect_blocks,
-    hamming,
-    norm0,
-    norm1,
     normalize,
-    supp,
 )
 from pumplab.perturb import make_rng
 
@@ -148,31 +143,3 @@ def test_detect_blocks_dense_row_is_one_block():
 def test_detect_blocks_two_stage_is_coupled():
     inst = gen_two_stage(3, 4, 2, make_rng(3)).instance
     assert len(detect_blocks(inst)) == 1
-
-
-def test_vector_utils_worked_examples():
-    assert supp((0, 3, 0, -2)) == (1, 3)
-    assert norm0((0, 3, 0, -2)) == 2
-    assert norm1((0.5, -0.5)) == 1.0
-    assert hamming((1, 1, 0), (1, 0, 1)) == 2
-
-
-def test_hamming_rejects_non_binary():
-    with pytest.raises(NonBinaryVector):
-        hamming((0.5, 1.0), (0.0, 1.0))
-    with pytest.raises(DimensionMismatch):
-        hamming((0, 1), (0, 1, 0))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(-5, 5).filter(lambda v: v == v), min_size=1, max_size=8))
-def test_norm1_matches_numpy(vals):
-    assert norm1(vals) == pytest.approx(float(np.abs(np.asarray(vals)).sum()))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 12 - 1), st.integers(0, 2 ** 12 - 1))
-def test_hamming_matches_popcount(abits, bbits):
-    u = [(abits >> i) & 1 for i in range(12)]
-    w = [(bbits >> i) & 1 for i in range(12)]
-    assert hamming(u, w) == bin(abits ^ bbits).count("1")

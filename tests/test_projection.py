@@ -1,20 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import subset_sum_l1_value
+from oracles import is_stalling, norm1, subset_sum_l1_value
 from pumplab.errors import InstanceInfeasible, NonBinaryVector
 from pumplab.gen import fractional_stall_instance, gen_subset_sum, zero_frac_stall_instance
-from pumplab.model import LinearRow, MixedBinaryInstance, Sense, norm1
+from pumplab.model import LinearRow, MixedBinaryInstance, Sense
 from pumplab.perturb import make_rng
-from pumplab.projection import (
-    ProjectionOracle,
-    alt_proj,
-    alt_proj_star,
-    as_binary,
-    is_stalling,
-    l1_proj,
-    round_binary,
-)
+from pumplab.projection import ProjectionOracle, alt_proj_star, as_binary, round_binary
 
 
 def test_round_binary_examples():
@@ -41,23 +33,22 @@ def test_as_binary_rejects_fractions():
 def test_l1_proj_worked_values():
     inst = fractional_stall_instance()
     oracle = ProjectionOracle(inst)
-    pt, dist = l1_proj(inst, [1, 1], oracle)
-    assert dist == pytest.approx(1 / 3, abs=1e-9)
-    np.testing.assert_allclose(pt.x, [2 / 3, 1.0], atol=1e-9)
-    _, dist = l1_proj(inst, [0, 1], oracle)
-    assert dist == pytest.approx(2 / 3, abs=1e-9)
-    pt, dist = l1_proj(inst, [1, 0], oracle)
-    assert dist == pytest.approx(0.0, abs=1e-9)
-    np.testing.assert_allclose(pt.x, [1.0, 0.0], atol=1e-9)
+    e = oracle.entry([1, 1])
+    assert e.distance == pytest.approx(1 / 3, abs=1e-9)
+    np.testing.assert_allclose(e.x_bar, [2 / 3, 1.0], atol=1e-9)
+    assert oracle.entry([0, 1]).distance == pytest.approx(2 / 3, abs=1e-9)
+    e = oracle.entry([1, 0])
+    assert e.distance == pytest.approx(0.0, abs=1e-9)
+    np.testing.assert_allclose(e.x_bar, [1.0, 0.0], atol=1e-9)
 
 
 def test_projection_memo_skips_repeat_solves():
     inst = fractional_stall_instance()
     oracle = ProjectionOracle(inst)
-    l1_proj(inst, [1, 1], oracle)
+    oracle.entry([1, 1])
     solves = oracle.lp_solves
-    l1_proj(inst, [1, 1], oracle)
-    alt_proj(inst, [1, 1], oracle)
+    oracle.entry([1, 1])
+    oracle.entry(np.ones(2, dtype=np.int8))
     assert oracle.lp_solves == solves
 
 
@@ -66,16 +57,17 @@ def test_alt_proj_fixpoint_of_deep_trap():
     # coordinate to 3/5, which rounds straight back up
     inst = zero_frac_stall_instance(3)
     ones = np.ones(5, dtype=np.int8)
-    np.testing.assert_array_equal(alt_proj(inst, ones), ones)
-    assert is_stalling(inst, ones)
+    oracle = ProjectionOracle(inst)
+    np.testing.assert_array_equal(oracle.entry(ones).rounded, ones)
+    assert is_stalling(oracle, ones)
 
 
 def test_is_stalling_cases():
     inst = fractional_stall_instance()
     oracle = ProjectionOracle(inst)
-    assert not is_stalling(inst, [1, 0], oracle)   # feasible, not a stall
-    assert is_stalling(inst, [1, 1], oracle)       # fixpoint at distance 1/3
-    assert not is_stalling(inst, [0, 0], oracle)   # moves to another point
+    assert not is_stalling(oracle, [1, 0])   # feasible, not a stall
+    assert is_stalling(oracle, [1, 1])       # fixpoint at distance 1/3
+    assert not is_stalling(oracle, [0, 0])   # moves to another point
 
 
 def test_alt_proj_star_lands_on_fixpoint():
@@ -85,7 +77,7 @@ def test_alt_proj_star_lands_on_fixpoint():
         start = rng.integers(0, 2, inst.n).astype(np.int8)
         oracle = ProjectionOracle(inst)
         z = alt_proj_star(inst, start, oracle=oracle)
-        np.testing.assert_array_equal(alt_proj(inst, z, oracle), z)
+        np.testing.assert_array_equal(oracle.entry(z).rounded, z)
 
 
 def test_alt_proj_distance_never_increases():
@@ -117,9 +109,8 @@ def test_projection_distance_matches_enumeration():
         oracle = ProjectionOracle(inst)
         for _ in range(4):
             xt = rng.integers(0, 2, n)
-            _, dist = l1_proj(inst, xt, oracle)
             want = subset_sum_l1_value(a, row.rhs, xt)
-            assert dist == pytest.approx(want, abs=1e-7)
+            assert oracle.entry(xt).distance == pytest.approx(want, abs=1e-7)
 
 
 def test_projection_of_feasible_point_is_itself():
@@ -150,5 +141,5 @@ def test_distance_is_l1_between_binary_and_projection():
     oracle = ProjectionOracle(res.instance)
     for _ in range(12):
         xt = rng.integers(0, 2, res.instance.n)
-        pt, dist = l1_proj(res.instance, xt, oracle)
-        assert dist == pytest.approx(norm1(xt - pt.x), abs=1e-9)
+        e = oracle.entry(xt)
+        assert e.distance == pytest.approx(norm1(xt - e.x_bar), abs=1e-9)

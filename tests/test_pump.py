@@ -9,14 +9,13 @@ from pumplab.gen import (
 from pumplab.model import (
     LinearRow,
     MixedBinaryInstance,
-    MixedPoint,
     Objective,
     Sense,
     check_feasible,
 )
+from pumplab import pump
 from pumplab.perturb import make_rng
 from pumplab.pump import (
-    detect_cycle,
     run_mb_walksat,
     run_naive_fp,
     run_original_fp,
@@ -198,16 +197,6 @@ def test_hybrid_restarts_rescue_the_original_rule():
         assert check_feasible(inst, trace.point, tol=1e-7)
 
 
-def test_detect_cycle_examples():
-    v = np.array([1, 0], dtype=np.int8)
-    w = np.array([0, 1], dtype=np.int8)
-    u = np.array([1, 1], dtype=np.int8)
-    assert detect_cycle([v, v]) == ("one", 1)
-    assert detect_cycle([v, w, v]) == ("long", 2)
-    assert detect_cycle([v, w, u]) is None
-    assert detect_cycle([v.tobytes(), w.tobytes(), v.tobytes()]) == ("long", 2)
-
-
 def test_bound_t1_worked_values():
     rep = theorem_bound("1", block_sizes=[2], cert_bounds=[2], delta=1 / np.e)
     assert rep.iterations == 8
@@ -261,3 +250,26 @@ def test_found_points_lift_continuous_columns():
     assert trace.found
     assert trace.point.y.size == 1
     assert check_feasible(inst, trace.point, tol=1e-7)
+
+
+def test_run_looks_up_entry_points_and_rules_on_the_module(monkeypatch):
+    # wrappers installed on the pump module (as the benchmark's tracer
+    # does) must see the runs the registry starts and the rules they call
+    seen = []
+
+    def spy(name):
+        real = getattr(pump, name)
+
+        def wrapper(*args, **kwargs):
+            seen.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pump, name, wrapper)
+
+    for name in ("run_original_fp", "original_perturb", "run_wfp", "perturb_l"):
+        spy(name)
+    inst = fractional_stall_instance()
+    assert pump.run("orig", inst, make_rng(0), max_iter=4, record=False).perturbations == 2
+    assert pump.run("wfp", inst, make_rng(0), max_iter=50, record=False).found
+    assert seen[:3] == ["run_original_fp", "original_perturb", "original_perturb"]
+    assert seen[3] == "run_wfp" and "perturb_l" in seen[4:]
