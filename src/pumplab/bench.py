@@ -92,6 +92,11 @@ class BenchConfig:
         for alg in self.algorithms:
             if alg not in pump.ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")
+        lo, hi = self.tt_range
+        if not 0 <= lo <= hi:
+            raise ValueError(f"bad TT range {self.tt_range!r}: need 0 <= lo <= hi")
+        if self.flips < 1:
+            raise ValueError(f"flips must be at least 1, got {self.flips}")
         names = [inst.name for inst in self.instances]
         if len(set(names)) != len(names):
             raise ValueError("instance names must be unique within a benchmark")

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotACertificate, ScaleGuard
-from .lp import LpProblem, LpStatus, SimplexSolver
+from .lp import CompiledInstance, LpProblem, LpStatus, SimplexSolver
 from .model import MixedBinaryInstance, Sense, dense_rows, normalize
 
 VIOLATION_TOL = 1e-7
@@ -44,26 +44,31 @@ class ProjectedCertificate:
         return tuple(self.a)
 
 
+def _lambda_problem(view: CompiledInstance) -> LpProblem:
+    # B.T @ lambda = 0, sum(lambda) = 1, lambda >= 0; the cost row is set
+    # by each resolve
+    m, d = view.norm.m, view.instance.d
+    coeffs = np.vstack([view.B.T, np.ones((1, m))]) if m else np.zeros((d + 1, 0))
+    return LpProblem(
+        coeffs=coeffs,
+        senses=[Sense.EQ] * (d + 1),
+        rhs=np.concatenate([np.zeros(d), [1.0]]),
+        objective=np.zeros(m),
+        lower=np.zeros(m),
+        upper=np.full(m, np.inf),
+    )
+
+
 class CertificateOracle:
     """Warm lambda-LP for one instance; cost row changes with the point."""
 
     def __init__(self, instance: MixedBinaryInstance):
         self.instance = instance
-        self.norm = normalize(instance)
-        A, B, _, b = dense_rows(self.norm)
-        self.A, self.B, self.b = A, B, b
-        m, d = self.norm.m, instance.d
-        self.m = m
-        coeffs = np.vstack([B.T, np.ones((1, m))]) if m else np.zeros((d + 1, 0))
-        problem = LpProblem(
-            coeffs=coeffs,
-            senses=[Sense.EQ] * (d + 1),
-            rhs=np.concatenate([np.zeros(d), [1.0]]),
-            objective=np.zeros(m),
-            lower=np.zeros(m),
-            upper=np.full(m, np.inf),
-        )
-        self.solver = SimplexSolver(problem)
+        view = CompiledInstance.of(instance)
+        self.norm = view.norm
+        self.A, self.B, self.b = view.A, view.B, view.b
+        self.m = self.norm.m
+        self.solver = view.solver(_lambda_problem)
         # infeasible lambda-LP means no certificate can exist for any point
         self.possible = self.solver.ensure_phase1()
         self.cache: dict[bytes, ProjectedCertificate] = {}

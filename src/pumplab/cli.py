@@ -47,7 +47,17 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def _parse_tt(text: str) -> tuple[int, int]:
     lo, hi = text.split(":" if ":" in text else ",", 1)
-    return (int(lo), int(hi))
+    lo, hi = int(lo), int(hi)
+    if not 0 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"TT range {text!r} needs 0 <= LO <= HI")
+    return (lo, hi)
+
+
+def _parse_flips(text: str) -> int:
+    flips = int(text)
+    if flips < 1:
+        raise argparse.ArgumentTypeError(f"flips must be at least 1, got {flips}")
+    return flips
 
 
 def load_instance(spec: str) -> MixedBinaryInstance:
@@ -195,7 +205,7 @@ def _add_run_flags(p, max_iter_default: int):
     p.add_argument("--alg", required=True, choices=list(pump.ALGORITHMS))
     p.add_argument("instance")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--flips", "--l", dest="flips", type=int, default=2,
+    p.add_argument("--flips", "--l", dest="flips", type=_parse_flips, default=2,
                    help="certificate flips per perturbation")
     p.add_argument("--max-iter", type=int, default=max_iter_default)
     p.add_argument("--tt", type=_parse_tt, default=DEFAULT_TT_RANGE, metavar="LO:HI",
@@ -241,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algs", default="orig,wfpbase", help="comma list")
     p.add_argument("--seeds", default="1..10", help="list 1,2,3 or range 1..10")
     p.add_argument("--max-iter", type=int, default=400)
-    p.add_argument("--flips", "--l", dest="flips", type=int, default=2)
+    p.add_argument("--flips", "--l", dest="flips", type=_parse_flips, default=2)
     p.add_argument("--tt", type=_parse_tt, default=DEFAULT_TT_RANGE, metavar="LO:HI")
     p.add_argument("--time-limit", type=float, default=60.0)
     p.add_argument("--base-seed", type=int, default=12345, help="instance generation seed")

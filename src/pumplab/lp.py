@@ -1,16 +1,35 @@
 """Bounded-variable two-phase simplex on a dense tableau.
 
-Layout: for m rows and n structural columns the working matrix holds
-n structural + m slack + m artificial columns. Every row is an equality
-a@x + s = b where the slack's bounds encode the sense (<= gives s >= 0,
->= gives s <= 0, = pins s to 0). Phase 1 minimizes the signed sum of the
-artificial columns that were needed to complete the initial basis; phase 2
-runs the caller's objective with the artificials pinned to zero.
+Layout: for m rows and n structural columns the working matrix starts with
+n structural + m slack + m artificial columns, in that order. Every row is
+an equality a@x + s = b where the slack's bounds encode the sense (<= gives
+s >= 0, >= gives s <= 0, = pins s to 0). Phase 1 minimizes the signed sum
+of the artificial columns that were needed to complete the initial basis.
+When it succeeds, the nonbasic artificial columns are dropped: the tableau
+keeps the n structural and m slack columns, then any artificial still
+basic (at zero, on a redundant row), pinned to zero. Phase 2 runs the
+caller's objective on these columns. The kept columns stay in their old
+order and every kept entry gets the same float operations as on the full
+tableau, so the pivot rules below pick the same columns and the answers do
+not change.
 
 The solver object keeps its factorized state alive so callers can re-enter
-phase 2 with a fresh objective (`resolve`). The projection and certificate
-oracles depend on that: the constraint system never changes inside a pump
-run, only the cost vector does.
+phase 2 with a fresh objective (`resolve`), and `clone` copies that state
+into an independent solver. The projection and certificate oracles depend
+on both: the constraint system never changes inside a pump run, only the
+cost vector does, and each oracle starts from a clone of a solver that ran
+phase 1 once for the instance.
+
+CompiledInstance holds that per-instance state: the normalized instance,
+its dense rows, and the solvers of the LPs built on them, after phase 1.
+`CompiledInstance.of` keeps one view, the most recent instance's, so the
+state of one instance does not outlive the runs on the next. Memo tables
+stay with each oracle, so no answer depends on the order of runs.
+
+Pivot update: the rank-1 update touches only the rows where the pivot
+column is nonzero when fewer than a quarter of the rows are, and the whole
+matrix otherwise, where gathering and scattering most rows costs more
+than updating all of them.
 
 Determinism: entering column is the most violating reduced cost with ties
 to the smallest index (plain argmax), leaving row is the smallest basis
@@ -20,6 +39,7 @@ Bland fallback takes over after a run of degenerate steps.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Sequence
@@ -42,11 +62,10 @@ class LpStatus(IntEnum):
     UNBOUNDED = 2
 
 
-class ColStatus(IntEnum):
-    BASIC = 0
-    AT_LOWER = 1
-    AT_UPPER = 2
-    FREE = 3
+# column status codes of SimplexSolver.vstat and LpSolution.col_status
+BASIC, AT_LOWER, AT_UPPER, FREE = 0, 1, 2, 3
+
+_STATE_ARRAYS = ("T", "rhs_col", "val", "vstat", "basis", "lower", "upper", "phase1_cost")
 
 
 @dataclass
@@ -110,31 +129,25 @@ class SimplexSolver:
         N = n + 2 * m
         self.N = N
 
-        W = np.zeros((m, N))
+        T = np.zeros((m, N))
         if m:
-            W[:, :n] = A
+            T[:, :n] = A
             idx = np.arange(m)
-            W[idx, n + idx] = 1.0          # slack
-            W[idx, n + m + idx] = 1.0      # artificial
-        self.W = W
+            T[idx, n + idx] = 1.0          # slack
+            T[idx, n + m + idx] = 1.0      # artificial
+        self.T = T
 
         lower = np.full(N, 0.0)
         upper = np.full(N, 0.0)
         lower[:n] = problem.lower
         upper[:n] = problem.upper
-        for r, s in enumerate(problem.senses):
-            if s is Sense.LE:
-                lower[n + r], upper[n + r] = 0.0, np.inf
-            elif s is Sense.GE:
-                lower[n + r], upper[n + r] = -np.inf, 0.0
-            else:
-                lower[n + r] = upper[n + r] = 0.0
+        lower[n : n + m] = [-np.inf if s is Sense.GE else 0.0 for s in problem.senses]
+        upper[n : n + m] = [np.inf if s is Sense.LE else 0.0 for s in problem.senses]
         self.lower, self.upper = lower, upper
 
-        self.T = W.copy()
         self.rhs_col = problem.rhs.astype(float).copy()
         self.val = np.zeros(N)
-        self.vstat = np.full(N, int(ColStatus.AT_LOWER), dtype=np.int8)
+        self.vstat = np.full(N, AT_LOWER, dtype=np.int8)
         self.basis = np.zeros(m, dtype=np.int64)
         self.phase1_cost = np.zeros(N)
         self._phase1_done = False
@@ -144,46 +157,48 @@ class SimplexSolver:
         self._since_refresh = 0
         self._init_basis()
 
+    def clone(self) -> "SimplexSolver":
+        """An independent solver in this one's state: every array copied,
+        the problem shared."""
+        twin = copy.copy(self)
+        for name in _STATE_ARRAYS:
+            setattr(twin, name, getattr(self, name).copy())
+        return twin
+
     # -- setup ---------------------------------------------------------------
 
     def _init_basis(self):
+        # structural columns sit at a finite bound (0 when free); a row's
+        # slack absorbs the residual when its bounds allow, otherwise it
+        # parks at the violated (finite) bound and the row's artificial is
+        # basic with the rest, signed so phase 1 drives it to zero
         n, m = self.nstruct, self.m
-        val, vstat = self.val, self.vstat
-        for j in range(n):
-            lo, up = self.lower[j], self.upper[j]
-            if np.isfinite(lo):
-                val[j], vstat[j] = lo, ColStatus.AT_LOWER
-            elif np.isfinite(up):
-                val[j], vstat[j] = up, ColStatus.AT_UPPER
-            else:
-                val[j], vstat[j] = 0.0, ColStatus.FREE
-        resid = self.rhs_col - self.W[:, :n] @ val[:n] if m else np.zeros(0)
-        for r in range(m):
-            s_col, a_col = n + r, n + m + r
-            x = resid[r]
-            lo_s, up_s = self.lower[s_col], self.upper[s_col]
-            if lo_s - 1e-12 <= x <= up_s + 1e-12:
-                # slack absorbs the residual, artificial stays pinned at zero
-                self.basis[r] = s_col
-                vstat[s_col] = ColStatus.BASIC
-                val[s_col] = min(max(x, lo_s), up_s) if np.isfinite(lo_s) and np.isfinite(up_s) else x
-                self.lower[a_col] = self.upper[a_col] = 0.0
-                val[a_col], vstat[a_col] = 0.0, ColStatus.AT_LOWER
-            else:
-                # slack parks at the violated (finite) bound, artificial is basic
-                sb = up_s if x > up_s else lo_s
-                val[s_col] = sb
-                vstat[s_col] = ColStatus.AT_UPPER if sb == up_s else ColStatus.AT_LOWER
-                a_val = x - sb
-                self.basis[r] = a_col
-                vstat[a_col] = ColStatus.BASIC
-                val[a_col] = a_val
-                if a_val >= 0:
-                    self.lower[a_col], self.upper[a_col] = 0.0, np.inf
-                    self.phase1_cost[a_col] = 1.0
-                else:
-                    self.lower[a_col], self.upper[a_col] = -np.inf, 0.0
-                    self.phase1_cost[a_col] = -1.0
+        val, vstat, lower, upper = self.val, self.vstat, self.lower, self.upper
+        lo, up = lower[:n], upper[:n]
+        fin_lo, fin_up = np.isfinite(lo), np.isfinite(up)
+        val[:n] = np.where(fin_lo, lo, np.where(fin_up, up, 0.0))
+        vstat[:n] = np.where(fin_lo, AT_LOWER, np.where(fin_up, AT_UPPER, FREE))
+        if not m:
+            return
+        resid = self.rhs_col - self.T[:, :n] @ val[:n]
+        s_cols = np.arange(n, n + m)
+        a_cols = s_cols + m
+        lo_s, up_s = lower[s_cols], upper[s_cols]
+        absorb = (lo_s - 1e-12 <= resid) & (resid <= up_s + 1e-12)
+        clipped = np.where(np.isfinite(lo_s) & np.isfinite(up_s),
+                           np.minimum(np.maximum(resid, lo_s), up_s), resid)
+        parked = np.where(resid > up_s, up_s, lo_s)
+        val[s_cols] = np.where(absorb, clipped, parked)
+        vstat[s_cols] = np.where(absorb, BASIC, np.where(parked == up_s, AT_UPPER, AT_LOWER))
+        self.basis[:] = np.where(absorb, s_cols, a_cols)
+        art = a_cols[~absorb]
+        a_val = (resid - parked)[~absorb]
+        pos = a_val >= 0
+        val[art] = a_val
+        vstat[art] = BASIC
+        lower[art] = np.where(pos, 0.0, -np.inf)
+        upper[art] = np.where(pos, np.inf, 0.0)
+        self.phase1_cost[art] = np.where(pos, 1.0, -1.0)
 
     # -- core ----------------------------------------------------------------
 
@@ -199,20 +214,20 @@ class SimplexSolver:
         return d
 
     def _optimize(self, cost: np.ndarray, phase1: bool) -> LpStatus:
-        m, n, N = self.m, self.nstruct, self.N
-        T, val, vstat = self.T, self.val, self.vstat
+        m, n = self.m, self.nstruct
+        T, val, vstat, basis = self.T, self.val, self.vstat, self.basis
+        lower, upper, rhs_col = self.lower, self.upper, self.rhs_col
         d = self._refresh(cost)
         max_pivots = 10000 + 200 * (m + n)
         pivots = 0
+        fixed = lower == upper     # bounds do not change inside one optimize
         while True:
             if self._since_refresh >= _REFRESH_EVERY:
                 d = self._refresh(cost)
-            fixed = self.lower == self.upper
-            basic = vstat == ColStatus.BASIC
-            can_up = (vstat == ColStatus.AT_LOWER) | (vstat == ColStatus.FREE)
-            can_dn = (vstat == ColStatus.AT_UPPER) | (vstat == ColStatus.FREE)
+            can_up = (vstat == AT_LOWER) | (vstat == FREE)
+            can_dn = (vstat == AT_UPPER) | (vstat == FREE)
             score = np.maximum(np.where(can_up, -d, 0.0), np.where(can_dn, d, 0.0))
-            score[fixed | basic] = 0.0
+            score[fixed | (vstat == BASIC)] = 0.0
             if self._bland:
                 viol = np.flatnonzero(score > COST_TOL)
                 if viol.size == 0:
@@ -222,9 +237,10 @@ class SimplexSolver:
                 j = int(np.argmax(score))
                 if score[j] <= COST_TOL:
                     return LpStatus.OPTIMAL
-            if vstat[j] == ColStatus.AT_LOWER:
+            st = int(vstat[j])
+            if st == AT_LOWER:
                 sigma = 1.0
-            elif vstat[j] == ColStatus.AT_UPPER:
+            elif st == AT_UPPER:
                 sigma = -1.0
             else:
                 sigma = 1.0 if d[j] < 0 else -1.0
@@ -232,9 +248,9 @@ class SimplexSolver:
             col = T[:, j].copy() if m else np.zeros(0)
             delta = sigma * col
             if m:
-                vb = val[self.basis]
-                lob = self.lower[self.basis]
-                upb = self.upper[self.basis]
+                vb = val[basis]
+                lob = lower[basis]
+                upb = upper[basis]
                 limits = np.full(m, np.inf)
                 pos = delta > 1e-11
                 neg = delta < -1e-11
@@ -242,11 +258,11 @@ class SimplexSolver:
                     limits[pos] = (vb[pos] - lob[pos]) / delta[pos]
                     limits[neg] = (upb[neg] - vb[neg]) / (-delta[neg])
                 np.maximum(limits, 0.0, out=limits)
-                t_row = float(limits.min()) if m else np.inf
+                t_row = float(limits.min())
             else:
                 limits = np.zeros(0)
                 t_row = np.inf
-            rng_j = self.upper[j] - self.lower[j]
+            rng_j = upper[j] - lower[j]
             t_bnd = rng_j if np.isfinite(rng_j) else np.inf
             t = min(t_row, t_bnd)
             if not np.isfinite(t):
@@ -264,36 +280,39 @@ class SimplexSolver:
             if t_bnd <= t_row:
                 # bound flip: no basis change
                 if m:
-                    val[self.basis] -= t_bnd * delta
-                val[j] = self.upper[j] if vstat[j] == ColStatus.AT_LOWER else self.lower[j]
-                vstat[j] = ColStatus.AT_UPPER if vstat[j] == ColStatus.AT_LOWER else ColStatus.AT_LOWER
+                    val[basis] -= t_bnd * delta
+                val[j] = upper[j] if st == AT_LOWER else lower[j]
+                vstat[j] = AT_UPPER if st == AT_LOWER else AT_LOWER
             else:
                 cands = np.flatnonzero(limits <= t + DEGEN_TOL)
                 good = cands[np.abs(delta[cands]) >= PIVOT_TOL]
                 if good.size:
-                    r = int(good[np.argmin(self.basis[good])])
+                    r = int(good[np.argmin(basis[good])])
                 else:
                     r = int(cands[np.argmax(np.abs(delta[cands]))])
                 step = sigma * t
-                val[self.basis] -= step * col
+                val[basis] -= step * col
                 val[j] += step
-                k = int(self.basis[r])
+                k = int(basis[r])
                 if delta[r] > 0:
-                    val[k], vstat[k] = self.lower[k], ColStatus.AT_LOWER
+                    val[k], vstat[k] = lower[k], AT_LOWER
                 else:
-                    val[k], vstat[k] = self.upper[k], ColStatus.AT_UPPER
+                    val[k], vstat[k] = upper[k], AT_UPPER
                 piv = T[r, j]
-                colv = col.copy()
-                colv[r] = 0.0
+                col[r] = 0.0
                 T[r] /= piv
-                self.rhs_col[r] /= piv
-                T -= np.outer(colv, T[r])
-                self.rhs_col -= colv * self.rhs_col[r]
+                rhs_col[r] /= piv
+                rows = np.flatnonzero(col)
+                if 4 * rows.size < m:
+                    T[rows] -= np.outer(col[rows], T[r])
+                else:
+                    T -= np.outer(col, T[r])
+                rhs_col -= col * rhs_col[r]
                 dj = d[j]
                 d -= dj * T[r]
                 d[j] = 0.0
-                self.basis[r] = j
-                vstat[j] = ColStatus.BASIC
+                basis[r] = j
+                vstat[j] = BASIC
 
             pivots += 1
             self._since_refresh += 1
@@ -301,7 +320,10 @@ class SimplexSolver:
                 raise SolverFailure(f"pivot limit exceeded ({max_pivots})")
 
     def ensure_phase1(self) -> bool:
-        """Run phase 1 once; True when the constraint system is feasible."""
+        """Run phase 1 once; True when the constraint system is feasible.
+
+        On success the nonbasic artificial columns are dropped from the
+        tableau (see the module docstring)."""
         if self._phase1_done:
             return self._feasible
         status = self._optimize(self.phase1_cost, phase1=True)
@@ -312,12 +334,29 @@ class SimplexSolver:
         self._phase1_done = True
         self._feasible = obj1 <= FEAS_TOL
         if self._feasible:
-            arts = slice(self.nstruct + self.m, self.N)
-            self.lower[arts] = 0.0
-            self.upper[arts] = 0.0
-            self.val[arts] = 0.0
-            self.phase1_cost[arts] = 0.0
+            self._drop_artificials()
         return self._feasible
+
+    def _drop_artificials(self):
+        first = self.nstruct + self.m
+        kept_arts = first + np.flatnonzero(self.vstat[first:] == BASIC)
+        keep = np.concatenate([np.arange(first), kept_arts])
+        # columns keep their order, so every index-based tie-break picks
+        # the same column as it would on the full tableau
+        renumber = np.empty(self.N, dtype=np.int64)
+        renumber[keep] = np.arange(keep.size)
+        self.basis = renumber[self.basis]
+        self.T = np.ascontiguousarray(self.T[:, keep])
+        self.val, self.vstat, self.lower, self.upper, self.phase1_cost = (
+            arr[keep] for arr in (self.val, self.vstat, self.lower, self.upper, self.phase1_cost)
+        )
+        self.N = keep.size
+        # an artificial still basic sits at zero on a redundant row; pin it there
+        arts = slice(first, self.N)
+        self.lower[arts] = 0.0
+        self.upper[arts] = 0.0
+        self.val[arts] = 0.0
+        self.phase1_cost[arts] = 0.0
 
     def resolve(self, objective: np.ndarray, maximize: bool = False) -> LpSolution:
         """Phase 2 with a fresh objective over the structural columns."""
@@ -348,6 +387,46 @@ class SimplexSolver:
         return x
 
 
+class CompiledInstance:
+    """One instance compiled for the LPs built on it.
+
+    norm is the normalized instance and A (binary columns), B (continuous
+    columns) and b its dense rows, read-only. solver(build) returns a clone
+    of the solver of the LpProblem build(view) describes, after phase 1,
+    which runs when the first clone is asked for. Views come from `of`.
+    """
+
+    _last: Optional["CompiledInstance"] = None
+
+    def __init__(self, instance: MixedBinaryInstance):
+        self.instance = instance
+        self.norm = normalize(instance)
+        A, B, _, b = dense_rows(self.norm)
+        for arr in (A, B, b):
+            arr.flags.writeable = False
+        self.A, self.B, self.b = A, B, b
+        self._solvers: dict = {}
+
+    @classmethod
+    def of(cls, instance: MixedBinaryInstance) -> "CompiledInstance":
+        """The view of instance. Only the most recent instance's view is
+        kept (instances compared with `is`): building another instance's
+        view drops it."""
+        view = cls._last
+        if view is None or view.instance is not instance:
+            cls._last = None       # let the old view go before building
+            view = cls._last = cls(instance)
+        return view
+
+    def solver(self, build) -> SimplexSolver:
+        base = self._solvers.get(build)
+        if base is None:
+            base = SimplexSolver(build(self))
+            base.ensure_phase1()
+            self._solvers[build] = base
+        return base.clone()
+
+
 def solve_lp(problem: LpProblem) -> LpSolution:
     return SimplexSolver(problem).solve()
 
@@ -358,19 +437,19 @@ def lift(instance: MixedBinaryInstance, x_tilde, tol: float = 1e-9) -> Optional[
     For d = 0 this is a direct row check; otherwise a feasibility LP in the
     continuous columns with the binary part fixed.
     """
-    norm = normalize(instance)
     x = np.asarray(x_tilde, dtype=float).reshape(-1)
     if x.shape != (instance.n,):
         raise DimensionMismatch("binary point length does not match instance")
-    A, B, _, b = dense_rows(norm)
-    resid = b - A @ x if norm.m else np.zeros(0)
+    view = CompiledInstance.of(instance)
+    m = view.norm.m
+    resid = view.b - view.A @ x if m else np.zeros(0)
     if instance.d == 0:
         if np.all(resid >= -tol):
             return MixedPoint(x.copy(), np.zeros(0))
         return None
     problem = LpProblem(
-        coeffs=B,
-        senses=[Sense.LE] * norm.m,
+        coeffs=view.B,
+        senses=[Sense.LE] * m,
         rhs=resid,
         objective=np.zeros(instance.d),
         lower=np.full(instance.d, -np.inf),

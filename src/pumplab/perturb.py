@@ -16,7 +16,10 @@ import numpy as np
 
 from .certificate import ProjectedCertificate
 from .errors import DimensionMismatch, EmptyCertificateSupport
-from .model import MixedBinaryInstance, dense_rows, normalize
+from .lp import CompiledInstance
+from .model import MixedBinaryInstance
+# perfbench/tracing.py wraps these two names in this module's namespace
+from .model import dense_rows, normalize  # noqa: F401
 
 DEFAULT_TT_RANGE = (10, 30)
 FRAC_TOL = 1e-9
@@ -102,14 +105,10 @@ def wfpbase_perturb(
     instance: MixedBinaryInstance,
     rng: np.random.Generator,
     tt_range=DEFAULT_TT_RANGE,
-    dense_ctx=None,
 ) -> PerturbOutcome:
     """Original rule while TT <= |F|; otherwise flip all of F plus
     min(|S|, TT - |F|) indices drawn without replacement from S, the union
-    of binary supports of rows violated at (x~, y).
-
-    dense_ctx may carry precomputed (A, B, b) of the normalized instance so
-    pump loops avoid rebuilding them every stall.
+    of binary supports of rows violated at (x~, y) among the normalized rows.
     """
     f = _fractionality(x_tilde, x_bar)
     tt = _draw_tt(rng, tt_range)
@@ -118,10 +117,8 @@ def wfpbase_perturb(
     if tt <= positive.size:
         idx = positive[:tt]
         return PerturbOutcome(_flip(x_tilde, idx), tuple(int(j) for j in sorted(idx)), "wfpbase", tt)
-    if dense_ctx is None:
-        A, B, _, b = dense_rows(normalize(instance))
-    else:
-        A, B, b = dense_ctx
+    view = CompiledInstance.of(instance)
+    A, B, b = view.A, view.B, view.b
     x = np.asarray(x_tilde, dtype=float).reshape(-1)
     lhs = A @ x if A.size else np.zeros(len(b))
     if B.size:

@@ -5,10 +5,11 @@ The projection of a binary point x~ is the LP
     min ||x~ - x||_1  over  (x, y) in P,
 
 whose objective is linear on [0,1]^n: coefficient (1 - 2*x~_j) on x_j plus
-the constant sum(x~). One :class:`ProjectionOracle` per instance keeps a
-single warm simplex (the constraint system never changes, only the cost
-row) and memoizes every distinct x~ it has projected, so pump loops that
-revisit a rounded point pay a dict lookup instead of an LP solve.
+the constant sum(x~). Each :class:`ProjectionOracle` keeps a single warm
+simplex (the constraint system never changes, only the cost row), cloned
+from the instance's compiled solver after phase 1, and memoizes every
+distinct x~ it has projected, so pump loops that revisit a rounded point
+pay a dict lookup instead of an LP solve.
 """
 
 from __future__ import annotations
@@ -18,14 +19,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InstanceInfeasible, NoFixpoint, NonBinaryVector
-from .lp import LpProblem, LpStatus, SimplexSolver
-from .model import (
-    MixedBinaryInstance,
-    Sense,
-    dense_objective,
-    dense_rows,
-    normalize,
-)
+from .lp import CompiledInstance, LpProblem, LpStatus
+from .model import MixedBinaryInstance, Sense, dense_objective
+# perfbench/tracing.py wraps these two names in this module's namespace
+from .model import dense_rows, normalize  # noqa: F401
 
 ROUND_SNAP = 1e-9
 INT_TOL = 1e-6
@@ -67,26 +64,31 @@ class ProjectionEntry(NamedTuple):
     integral: bool         # x_bar within INT_TOL of rounded
 
 
+def _projection_problem(view: CompiledInstance) -> LpProblem:
+    # the relaxation x in [0, 1]^n, y free, normalized rows; the cost row
+    # is set by each resolve
+    n, d, m = view.instance.n, view.instance.d, view.norm.m
+    coeffs = np.hstack([view.A, view.B]) if m else np.zeros((0, n + d))
+    return LpProblem(
+        coeffs=coeffs,
+        senses=[Sense.LE] * m,
+        rhs=view.b,
+        objective=np.zeros(n + d),
+        lower=np.concatenate([np.zeros(n), np.full(d, -np.inf)]),
+        upper=np.concatenate([np.ones(n), np.full(d, np.inf)]),
+    )
+
+
 class ProjectionOracle:
     """Warm LP engine + memo table for one instance's l1 projections."""
 
     def __init__(self, instance: MixedBinaryInstance):
         self.instance = instance
-        self.norm = normalize(instance)
-        A, B, _, b = dense_rows(self.norm)
-        self.A, self.B, self.b = A, B, b
-        n, d = instance.n, instance.d
-        self.n, self.d = n, d
-        coeffs = np.hstack([A, B]) if self.norm.m else np.zeros((0, n + d))
-        problem = LpProblem(
-            coeffs=coeffs,
-            senses=[Sense.LE] * self.norm.m,
-            rhs=b,
-            objective=np.zeros(n + d),
-            lower=np.concatenate([np.zeros(n), np.full(d, -np.inf)]),
-            upper=np.concatenate([np.ones(n), np.full(d, np.inf)]),
-        )
-        self.solver = SimplexSolver(problem)
+        view = CompiledInstance.of(instance)
+        self.norm = view.norm
+        self.A, self.B, self.b = view.A, view.B, view.b
+        self.n, self.d = instance.n, instance.d
+        self.solver = view.solver(_projection_problem)
         if not self.solver.ensure_phase1():
             raise InstanceInfeasible(f"instance {instance.name!r} has an empty relaxation")
         self.cache: dict[bytes, ProjectionEntry] = {}
@@ -135,6 +137,20 @@ class ProjectionOracle:
         return not (lhs > self.b + 1e-9).any()
 
 
+def _fixpoint(oracle: ProjectionOracle, x_tilde) -> tuple[np.ndarray, ProjectionEntry]:
+    """The fixpoint z of x -> round_binary(projection of x) from x_tilde,
+    with the projection entry of z itself."""
+    cap = 2 * oracle.n + 10
+    z = as_binary(x_tilde)
+    key = z.tobytes()
+    for _ in range(cap):
+        e = oracle.entry(z)
+        if e.rounded_key == key:
+            return z.copy(), e
+        z, key = e.rounded, e.rounded_key
+    raise NoFixpoint(f"no alternating-projection fixpoint within {cap} applications")
+
+
 def alt_proj_star(
     instance: MixedBinaryInstance, x_tilde, oracle: Optional[ProjectionOracle] = None
 ) -> np.ndarray:
@@ -142,13 +158,4 @@ def alt_proj_star(
 
     Running out of 2n + 10 applications raises NoFixpoint.
     """
-    oracle = oracle if oracle is not None else ProjectionOracle(instance)
-    cap = 2 * instance.n + 10
-    z = as_binary(x_tilde)
-    key = z.tobytes()
-    for _ in range(cap):
-        e = oracle.entry(z)
-        if e.rounded_key == key:
-            return z.copy()
-        z, key = e.rounded, e.rounded_key
-    raise NoFixpoint(f"no alternating-projection fixpoint within {cap} applications")
+    return _fixpoint(oracle if oracle is not None else ProjectionOracle(instance), x_tilde)[0]

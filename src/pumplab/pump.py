@@ -35,7 +35,7 @@ from .perturb import (
     restart_perturb,
     wfpbase_perturb,
 )
-from .projection import ProjectionOracle, alt_proj_star, is_integral, round_binary
+from .projection import ProjectionOracle, _fixpoint, is_integral, round_binary
 
 # rounded points wfpbase remembers for its revisit test; the oldest goes first
 HISTORY_CAP = 10_000
@@ -146,8 +146,7 @@ def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, rec
                 elif stall == "original-zf":
                     out = original_perturb_zero_frac(nxt, e.x_bar, rng, tt_range)
                 elif stall == "wfpbase":
-                    out = wfpbase_perturb(nxt, e.x_bar, e.y_bar, instance, rng, tt_range,
-                                          (oracle.A, oracle.B, oracle.b))
+                    out = wfpbase_perturb(nxt, e.x_bar, e.y_bar, instance, rng, tt_range)
                 else:
                     if certs is None:
                         certs = CertificateOracle(instance)
@@ -311,10 +310,9 @@ def run_wfp_compressed(
         trace.records.append(TraceRecord(0, "round"))
     lifts: dict = {}
     for t in range(1, max_iter + 1):
-        z = alt_proj_star(instance, z, oracle=oracle)
-        distance = oracle.entry(z).distance
+        z, e = _fixpoint(oracle, z)
         if record:
-            trace.records.append(TraceRecord(t, "altproj", distance=distance))
+            trace.records.append(TraceRecord(t, "altproj", distance=e.distance))
         lifted = _feasible_lift(instance, oracle, z, lifts)
         if lifted is not None:
             return _found(trace, t, lifted, record)

@@ -78,6 +78,15 @@ def test_config_validation():
     assert set(BenchConfig(insts).algorithms) <= set(KNOWN_ALGORITHMS)
 
 
+def test_config_rejects_bad_flip_settings():
+    insts = small_instances()
+    for bad in ({"tt_range": (5, 1)}, {"tt_range": (-1, 3)}, {"flips": 0}, {"flips": -2}):
+        with pytest.raises(ValueError):
+            BenchConfig(insts, **bad)
+    cfg = BenchConfig(insts, tt_range=(0, 0), flips=1)
+    assert cfg.tt_range == (0, 0) and cfg.flips == 1
+
+
 def test_run_benchmark_shape_and_order():
     cfg = BenchConfig(small_instances(), algorithms=("orig", "wfp"), seeds=(1, 2),
                       max_iter=150, workers=1)

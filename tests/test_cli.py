@@ -60,6 +60,24 @@ def test_solve_rejects_unknown_algorithm():
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alg", "orig", "--tt", "5:1", "fractional-stall"],
+    ["solve", "--alg", "origzf", "--tt=-1:3", "fractional-stall"],
+    ["solve", "--alg", "wfp", "--flips", "0", "fractional-stall"],
+    ["trace", "--alg", "mbwalksat", "--l=-2", "fractional-stall"],
+    ["bench", "--instances", os.path.join(DATA, "fractional_stall.pl"), "--algs", "orig",
+     "--seeds", "1", "--max-iter", "50", "--tt", "5:1"],
+    ["bench", "--instances", os.path.join(DATA, "fractional_stall.pl"), "--algs", "wfp",
+     "--seeds", "1", "--max-iter", "50", "--flips", "0"],
+])
+def test_bad_flip_settings_are_argument_errors(capsys, argv):
+    # without the check these ran until the first stall and ended in a traceback
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
 def test_missing_file_is_a_clean_error(capsys):
     rc, _, err = run_cli(capsys, "solve", "--alg", "wfp", "no/such/file.pl")
     assert rc == 2

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import enum_box_lp, lift_exists
+from pumplab.certificate import CertificateOracle
 from pumplab.errors import InvalidInstance
 from pumplab.gen import fractional_stall_instance, gen_subset_sum, zero_frac_stall_instance
-from pumplab.lp import LpProblem, LpStatus, SimplexSolver, lift, solve_lp
+from pumplab.lp import CompiledInstance, LpProblem, LpStatus, SimplexSolver, lift, solve_lp
+from pumplab.projection import ProjectionOracle
 from pumplab.model import LinearRow, MixedBinaryInstance, Sense
 from pumplab.perturb import make_rng
 
@@ -192,3 +196,96 @@ def test_determinism_same_problem_same_solution():
     s1, s2 = solve_lp(prob()), solve_lp(prob())
     np.testing.assert_array_equal(s1.x, s2.x)
     assert s1.objective == s2.objective
+
+
+_SENSES = [Sense.LE, Sense.GE, Sense.EQ]
+_TEXT = {Sense.LE: "<=", Sense.GE: ">=", Sense.EQ: "="}
+
+
+@st.composite
+def bounded_lps(draw):
+    # rows over a box with a 0/1 witness, so every problem is feasible and
+    # every objective bounded
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    coef = st.integers(-3, 3).map(float)
+    A = np.array(draw(st.lists(st.lists(coef, min_size=n, max_size=n), min_size=m, max_size=m)))
+    senses = draw(st.lists(st.sampled_from(_SENSES), min_size=m, max_size=m))
+    witness = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+    slack = np.array(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)), dtype=float)
+    sign = np.array([{Sense.LE: 1.0, Sense.GE: -1.0, Sense.EQ: 0.0}[s] for s in senses])
+    upper = np.array(draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=n, max_size=n)))
+    problem = LpProblem(A, senses, A @ witness + sign * slack, np.zeros(n), upper=upper)
+    objectives = draw(st.lists(st.tuples(st.lists(coef, min_size=n, max_size=n), st.booleans()),
+                               min_size=1, max_size=6))
+    return problem, [(np.array(c), mx) for c, mx in objectives]
+
+
+def _answers(solver, objectives):
+    out = []
+    for c, maximize in objectives:
+        sol = solver.resolve(c, maximize=maximize)
+        out.append((sol.status, sol.x.tobytes(), sol.objective, sol.col_status.tobytes()))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_lps())
+def test_clone_after_phase1_replays_a_fresh_solver(case):
+    problem, objectives = case
+    base = SimplexSolver(problem)
+    assert base.ensure_phase1()
+    first = base.clone()
+    want = _answers(SimplexSolver(problem), objectives)
+    assert _answers(first, objectives) == want
+    # resolving the first clone left the base untouched
+    assert _answers(base.clone(), objectives) == want
+
+
+def test_redundant_equality_keeps_its_artificial_basic():
+    # the second row is twice the first: phase 1 cannot pivot its artificial
+    # out, so it stays basic at zero after the nonbasic artificials are dropped
+    A = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
+    b = np.array([1.0, 2.0, 1.0])
+    senses = [Sense.EQ, Sense.EQ, Sense.LE]
+    solver = SimplexSolver(LpProblem(A, senses, b, np.zeros(3), upper=np.ones(3)))
+    n, m = 3, 3
+    assert solver.N == n + 2 * m
+    assert solver.ensure_phase1()
+    kept = solver.basis[solver.basis >= n + m]
+    assert kept.size == 1
+    assert solver.N == n + m + 1 and solver.T.shape == (m, n + m + 1)
+    assert solver.lower[kept[0]] == solver.upper[kept[0]] == 0.0
+    for c in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -2.0, 1.0], [0.0, 1.0, 1.0]):
+        c = np.array(c)
+        for maximize in (True, False):
+            sol = solver.resolve(c, maximize=maximize)
+            status, value, _ = enum_box_lp(A, [_TEXT[s] for s in senses], b, np.zeros(3),
+                                           np.ones(3), c, maximize=maximize)
+            assert status == "optimal" and sol.status == LpStatus.OPTIMAL
+            assert sol.objective == pytest.approx(value, abs=1e-9)
+            assert np.abs(A @ sol.x - b)[:2].max() <= 1e-9 and (A @ sol.x - b)[2] <= 1e-9
+
+
+def test_compiled_view_keeps_one_instance(monkeypatch):
+    a, b = fractional_stall_instance(), zero_frac_stall_instance(3)
+    view = CompiledInstance.of(a)
+    assert CompiledInstance.of(a) is view
+    assert not view.A.flags.writeable and not view.b.flags.writeable
+    assert CompiledInstance.of(b) is not view
+    assert CompiledInstance.of(a) is not view
+    # phase 1 runs once per (instance, LP), however many oracles are built
+    phase1_runs = []
+    optimize = SimplexSolver._optimize
+
+    def counted(solver, cost, phase1):
+        if phase1:
+            phase1_runs.append(solver)
+        return optimize(solver, cost, phase1)
+
+    monkeypatch.setattr(SimplexSolver, "_optimize", counted)
+    inst = gen_subset_sum(2, 3, make_rng(5)).instance
+    for _ in range(3):
+        ProjectionOracle(inst).relaxation()
+        CertificateOracle(inst)
+    assert len(phase1_runs) == 2

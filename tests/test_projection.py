@@ -1,9 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from oracles import is_stalling, norm1, subset_sum_l1_value
 from pumplab.errors import InstanceInfeasible, NonBinaryVector
-from pumplab.gen import fractional_stall_instance, gen_subset_sum, zero_frac_stall_instance
+from pumplab.gen import (
+    BlockSpec,
+    fractional_stall_instance,
+    gen_decomposable,
+    gen_subset_sum,
+    zero_frac_stall_instance,
+)
 from pumplab.model import LinearRow, MixedBinaryInstance, Sense
 from pumplab.perturb import make_rng
 from pumplab.projection import ProjectionOracle, alt_proj_star, as_binary, round_binary
@@ -143,3 +151,46 @@ def test_distance_is_l1_between_binary_and_projection():
         xt = rng.integers(0, 2, res.instance.n)
         e = oracle.entry(xt)
         assert e.distance == pytest.approx(norm1(xt - e.x_bar), abs=1e-9)
+
+
+def gen_decomposable_mixed(rng):
+    return gen_decomposable(3, BlockSpec(n=4, d=1, rows=3, s=2), rng).instance
+
+
+def _entries(oracle, points):
+    out = [tuple(v.tobytes() for v in oracle.relaxation())]
+    for xt in points:
+        e = oracle.entry(xt)
+        out.append((e.x_bar.tobytes(), e.y_bar.tobytes(), e.distance, e.rounded_key))
+    return out
+
+
+def test_oracles_share_no_memo_or_solver_state():
+    inst = gen_subset_sum(3, 4, make_rng(15)).instance
+    a, b = ProjectionOracle(inst), ProjectionOracle(inst)
+    assert a.cache is not b.cache
+    for name in ("T", "rhs_col", "val", "vstat", "basis", "lower", "upper", "phase1_cost"):
+        assert not np.shares_memory(getattr(a.solver, name), getattr(b.solver, name)), name
+    a.entry(np.ones(inst.n, dtype=np.int8))
+    assert len(a.cache) == 1 and not b.cache
+
+
+def test_alternating_instances_give_fresh_oracle_entries():
+    rng = make_rng(16)
+    insts = [gen_subset_sum(3, 4, rng).instance, gen_decomposable_mixed(rng)]
+    points = [[rng.integers(0, 2, inst.n) for _ in range(8)] for inst in insts]
+    # a copy is another object, so its oracle starts from a newly compiled view
+    want = [_entries(ProjectionOracle(replace(inst)), pts) for inst, pts in zip(insts, points)]
+    for i in (0, 1, 0, 0, 1):
+        assert _entries(ProjectionOracle(insts[i]), points[i]) == want[i]
+
+
+def test_infeasible_instance_raises_on_every_construction():
+    rows = (
+        LinearRow({0: 1.0, 1: 1.0}, {}, Sense.GE, 3.0),
+        LinearRow({1: 1.0}, {}, Sense.LE, 1.0),
+    )
+    inst = MixedBinaryInstance(name="empty2", n=2, d=0, rows=rows)
+    for _ in range(3):
+        with pytest.raises(InstanceInfeasible):
+            ProjectionOracle(inst)
