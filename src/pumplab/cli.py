@@ -16,7 +16,7 @@ import sys
 from typing import Optional
 
 from . import bench as benchmod
-from .errors import PumpLabError
+from .errors import InvalidInstance, PumpLabError
 from .formats import parse_mps, read_native, write_mps, write_native
 from .gen import (
     BlockSpec,
@@ -34,15 +34,36 @@ from . import pump
 
 def _parse_seeds(text: str) -> list[int]:
     text = text.strip()
-    for sep in ("..", ":"):
-        if sep in text and "," not in text:
-            lo, hi = text.split(sep, 1)
-            return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+    sep = next((sep for sep in ("..", ":") if sep in text and "," not in text), None)
+    if sep:
+        lo, hi = text.split(sep, 1)
+        seeds = list(range(int(lo), int(hi) + 1))
+    else:
+        seeds = [int(tok) for tok in text.split(",") if tok]
+    if not seeds or min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"seed list {text!r} is empty or has a negative seed")
+    return seeds
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok)
+def _at_least(lo: int):
+    """An argparse type: an integer no smaller than lo."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"     # argparse names the type in its messages
+    return parse
+
+
+def _parse_counts(text: str) -> tuple[int, ...]:
+    """An argparse type: a comma list of positive integers."""
+    counts = tuple(_at_least(1)(tok) for tok in text.split(",") if tok)
+    if not counts:
+        raise argparse.ArgumentTypeError(f"list {text!r} is empty")
+    return counts
 
 
 def _parse_tt(text: str) -> tuple[int, int]:
@@ -53,19 +74,16 @@ def _parse_tt(text: str) -> tuple[int, int]:
     return (lo, hi)
 
 
-def _parse_flips(text: str) -> int:
-    flips = int(text)
-    if flips < 1:
-        raise argparse.ArgumentTypeError(f"flips must be at least 1, got {flips}")
-    return flips
-
-
 def load_instance(spec: str) -> MixedBinaryInstance:
     if spec == "fractional-stall":
         return fractional_stall_instance()
-    if spec.startswith("zero-frac-stall"):
+    if spec == "zero-frac-stall" or spec.startswith("zero-frac-stall:"):
         _, _, arg = spec.partition(":")
-        return zero_frac_stall_instance(int(arg) if arg else 3)
+        if not arg:
+            return zero_frac_stall_instance(3)
+        if not arg.isdigit() or int(arg) < 1:
+            raise InvalidInstance(f"zero-frac-stall:T needs an integer T >= 1, got {arg!r}")
+        return zero_frac_stall_instance(int(arg))
     with open(spec, "r", encoding="utf-8") as fh:
         text = fh.read()
     if spec.endswith(".mps"):
@@ -84,6 +102,9 @@ def _point_lines(point) -> list[str]:
 
 def cmd_gen(args) -> int:
     witness = None
+    if args.family == "decomposable" and args.s > args.n:
+        print(f"error: --s {args.s} exceeds --n {args.n}", file=sys.stderr)
+        return 2
     if args.family == "subset-sum":
         res = gen_subset_sum(args.k, args.n, make_rng(args.seed), coeff_max=args.coeff_max)
         inst, witness = res.instance, res.witness
@@ -147,8 +168,8 @@ def cmd_bench(args) -> int:
     elif args.family == "two-stage":
         instances = benchmod.two_stage_suite(
             base_seed=args.base_seed,
-            ks=_parse_ints(args.ks) if args.ks else (5, 15, 25, 35, 45),
-            ps=_parse_ints(args.ps) if args.ps else (10, 20),
+            ks=args.ks or (5, 15, 25, 35, 45),
+            ps=args.ps or (10, 20),
             q=args.q,
             per_config=args.per_config,
             rows_per_scenario=args.rows_per_scenario,
@@ -156,8 +177,8 @@ def cmd_bench(args) -> int:
     elif args.family == "subset-sum":
         instances = benchmod.subset_sum_suite(
             base_seed=args.base_seed,
-            ks=_parse_ints(args.ks) if args.ks else (1, 2, 3),
-            ns=_parse_ints(args.ns) if args.ns else (3, 4, 5),
+            ks=args.ks or (1, 2, 3),
+            ns=args.ns or (3, 4, 5),
             per_config=args.per_config,
             coeff_max=args.coeff_max,
         )
@@ -167,7 +188,7 @@ def cmd_bench(args) -> int:
     cfg = benchmod.BenchConfig(
         instances=instances,
         algorithms=tuple(args.algs.split(",")),
-        seeds=_parse_seeds(args.seeds),
+        seeds=args.seeds,
         max_iter=args.max_iter,
         tt_range=args.tt,
         flips=args.flips,
@@ -184,15 +205,15 @@ def cmd_bench(args) -> int:
 
 def cmd_verify_bounds(args) -> int:
     if args.ks is None:
-        args.ks = "2,3" if args.theorem == "1" else "1,2,3"
+        args.ks = (2, 3) if args.theorem == "1" else (1, 2, 3)
     if args.ns is None:
-        args.ns = "3,4,5,6" if args.theorem == "1" else "3,4,5"
+        args.ns = (3, 4, 5, 6) if args.theorem == "1" else (3, 4, 5)
     res = benchmod.run_bound_suite(
         str(args.theorem),
         runs=args.runs,
         delta=args.delta,
-        ks=_parse_ints(args.ks),
-        ns=_parse_ints(args.ns),
+        ks=args.ks,
+        ns=args.ns,
         base_seed=args.base_seed,
         coeff_max=args.coeff_max,
         cap_limit=args.cap_limit,
@@ -204,33 +225,34 @@ def cmd_verify_bounds(args) -> int:
 def _add_run_flags(p, max_iter_default: int):
     p.add_argument("--alg", required=True, choices=list(pump.ALGORITHMS))
     p.add_argument("instance")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--flips", "--l", dest="flips", type=_parse_flips, default=2,
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--flips", "--l", dest="flips", type=_at_least(1), default=2,
                    help="certificate flips per perturbation")
-    p.add_argument("--max-iter", type=int, default=max_iter_default)
+    p.add_argument("--max-iter", type=_at_least(0), default=max_iter_default)
     p.add_argument("--tt", type=_parse_tt, default=DEFAULT_TT_RANGE, metavar="LO:HI",
                    help="flip-count range for the fractionality rules")
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="pumplab", description=__doc__)
+    positive = _at_least(1)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance file")
     p.add_argument("--family", required=True,
                    choices=["subset-sum", "decomposable", "two-stage",
                             "fractional-stall", "zero-frac-stall"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=1, help="block or scenario count")
-    p.add_argument("--n", type=int, default=4, help="binaries per block")
-    p.add_argument("--d", type=int, default=0, help="continuous columns per block")
-    p.add_argument("--rows", type=int, default=2, help="rows per block")
-    p.add_argument("--s", type=int, default=2, help="binary support per row")
-    p.add_argument("--p", type=int, default=10, help="first-stage binaries")
-    p.add_argument("--q", type=int, default=10, help="second-stage columns per scenario")
-    p.add_argument("--rows-per-scenario", type=int, default=5)
-    p.add_argument("--coeff-max", type=int, default=20)
-    p.add_argument("--t-max", type=int, default=3, help="trap depth for zero-frac-stall")
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--k", type=positive, default=1, help="block or scenario count")
+    p.add_argument("--n", type=positive, default=4, help="binaries per block")
+    p.add_argument("--d", type=_at_least(0), default=0, help="continuous columns per block")
+    p.add_argument("--rows", type=positive, default=2, help="rows per block")
+    p.add_argument("--s", type=positive, default=2, help="binary support per row")
+    p.add_argument("--p", type=positive, default=10, help="first-stage binaries")
+    p.add_argument("--q", type=positive, default=10, help="second-stage columns per scenario")
+    p.add_argument("--rows-per-scenario", type=positive, default=5)
+    p.add_argument("--coeff-max", type=positive, default=20)
+    p.add_argument("--t-max", type=positive, default=3, help="trap depth for zero-frac-stall")
     p.add_argument("--format", choices=["native", "mps"], default="native")
     p.add_argument("-o", "--output")
     p.add_argument("--witness", action="store_true",
@@ -249,30 +271,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", nargs="*", help="instance files (overrides --family)")
     p.add_argument("--family", choices=["two-stage", "subset-sum"])
     p.add_argument("--algs", default="orig,wfpbase", help="comma list")
-    p.add_argument("--seeds", default="1..10", help="list 1,2,3 or range 1..10")
-    p.add_argument("--max-iter", type=int, default=400)
-    p.add_argument("--flips", "--l", dest="flips", type=_parse_flips, default=2)
+    p.add_argument("--seeds", type=_parse_seeds, default="1..10", help="list 1,2,3 or range 1..10")
+    p.add_argument("--max-iter", type=_at_least(0), default=400)
+    p.add_argument("--flips", "--l", dest="flips", type=_at_least(1), default=2)
     p.add_argument("--tt", type=_parse_tt, default=DEFAULT_TT_RANGE, metavar="LO:HI")
     p.add_argument("--time-limit", type=float, default=60.0)
-    p.add_argument("--base-seed", type=int, default=12345, help="instance generation seed")
-    p.add_argument("--ks", help="comma list of block or scenario counts")
-    p.add_argument("--ps", help="comma list of first-stage sizes (two-stage)")
-    p.add_argument("--ns", help="comma list of block sizes (subset-sum)")
-    p.add_argument("--q", type=int, default=10)
-    p.add_argument("--per-config", type=int, default=5)
-    p.add_argument("--rows-per-scenario", type=int, default=5)
-    p.add_argument("--coeff-max", type=int, default=20)
+    p.add_argument("--base-seed", type=_at_least(0), default=12345, help="instance generation seed")
+    p.add_argument("--ks", type=_parse_counts, help="comma list of block or scenario counts")
+    p.add_argument("--ps", type=_parse_counts, help="comma list of first-stage sizes (two-stage)")
+    p.add_argument("--ns", type=_parse_counts, help="comma list of block sizes (subset-sum)")
+    p.add_argument("--q", type=positive, default=10)
+    p.add_argument("--per-config", type=positive, default=5)
+    p.add_argument("--rows-per-scenario", type=positive, default=5)
+    p.add_argument("--coeff-max", type=positive, default=20)
     p.add_argument("--csv", help="also write per-run rows to this path")
     p.add_argument("--workers", type=int, help="worker processes (default: PUMPLAB_WORKERS or 1)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify-bounds", help="Monte Carlo check of the iteration bounds")
     p.add_argument("--theorem", required=True, choices=["1", "2", "5"])
-    p.add_argument("--runs", type=int, default=200)
+    p.add_argument("--runs", type=_at_least(1), default=200)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--ks", "--k", dest="ks", help="comma list of block counts")
-    p.add_argument("--ns", "--n", dest="ns", help="comma list of block sizes")
-    p.add_argument("--base-seed", type=int, default=0)
+    p.add_argument("--ks", "--k", dest="ks", type=_parse_counts, help="comma list of block counts")
+    p.add_argument("--ns", "--n", dest="ns", type=_parse_counts, help="comma list of block sizes")
+    p.add_argument("--base-seed", type=_at_least(0), default=0)
     p.add_argument("--coeff-max", type=int, default=10)
     p.add_argument("--cap-limit", type=int, default=1_000_000)
     p.set_defaults(func=cmd_verify_bounds)

@@ -1,17 +1,27 @@
 """Bounded-variable two-phase simplex on a dense tableau.
 
-Layout: for m rows and n structural columns the working matrix starts with
-n structural + m slack + m artificial columns, in that order. Every row is
-an equality a@x + s = b where the slack's bounds encode the sense (<= gives
-s >= 0, >= gives s <= 0, = pins s to 0). Phase 1 minimizes the signed sum
-of the artificial columns that were needed to complete the initial basis.
-When it succeeds, the nonbasic artificial columns are dropped: the tableau
-keeps the n structural and m slack columns, then any artificial still
-basic (at zero, on a redundant row), pinned to zero. Phase 2 runs the
-caller's objective on these columns. The kept columns stay in their old
-order and every kept entry gets the same float operations as on the full
-tableau, so the pivot rules below pick the same columns and the answers do
-not change.
+Layout: for m rows and n structural columns the variables are the n
+structural columns, m slacks and m artificials, in that order. Every row
+is an equality a@x + s = b where the slack's bounds encode the sense (<=
+gives s >= 0, >= gives s <= 0, = pins s to 0). Phase 1 minimizes the
+signed sum of the artificial columns that were needed to complete the
+initial basis. When it succeeds, the nonbasic artificials are dropped:
+the variables are the n structural columns and m slacks, then any
+artificial still basic (at zero, on a redundant row), pinned to zero, all
+in their old order. Phase 2 runs the caller's objective on them.
+
+The tableau is condensed: T stores only the columns that can enter, the
+nonbasic columns that are not fixed at zero. `nonbasic` gives the
+variable in each slot of T and `slot` maps each variable back to its slot
+(-1 when its column is not stored). The other columns are implicit: a
+basic column of the full tableau is always an exact unit vector, and a
+column fixed at zero never enters nor moves a basic value. So phase 1
+never stores the fixed artificials of rows whose slack absorbed the
+residual, and phase 2 updates m x n entries instead of m x (n + m). The
+reduced costs d stay in variable order, so pricing ties still go to the
+smallest variable index. The refresh of the basic values and reduced
+costs scatters T into a full-width scratch matrix and multiplies there,
+so BLAS sums the same terms in the same order as on the full tableau.
 
 The solver object keeps its factorized state alive so callers can re-enter
 phase 2 with a fresh objective (`resolve`), and `clone` copies that state
@@ -26,10 +36,16 @@ its dense rows, and the solvers of the LPs built on them, after phase 1.
 state of one instance does not outlive the runs on the next. Memo tables
 stay with each oracle, so no answer depends on the order of runs.
 
-Pivot update: the rank-1 update touches only the rows where the pivot
-column is nonzero when fewer than a quarter of the rows are, and the whole
-matrix otherwise, where gathering and scattering most rows costs more
-than updating all of them.
+Pivot update: when j enters at row r and k leaves, k's unit column e_r
+is written into j's slot before the divide and the rank-1 update, which
+then give it the values the full tableau would hold in k's column (when k
+is fixed at zero its slot is given up instead). Every stored entry thus
+gets the same float operations as on the full tableau, and with the
+refresh above the answers are bit for bit those of the full tableau. The
+rank-1 update touches only the
+rows where the pivot column is nonzero when fewer than a quarter of the
+rows are, and the whole matrix otherwise, where gathering and scattering
+most rows costs more than updating all of them.
 
 Determinism: entering column is the most violating reduced cost with ties
 to the smallest index (plain argmax), leaving row is the smallest basis
@@ -65,7 +81,8 @@ class LpStatus(IntEnum):
 # column status codes of SimplexSolver.vstat and LpSolution.col_status
 BASIC, AT_LOWER, AT_UPPER, FREE = 0, 1, 2, 3
 
-_STATE_ARRAYS = ("T", "rhs_col", "val", "vstat", "basis", "lower", "upper", "phase1_cost")
+_STATE_ARRAYS = ("T", "nonbasic", "slot", "rhs_col", "val", "vstat", "basis", "lower", "upper",
+                 "phase1_cost")
 
 
 @dataclass
@@ -123,19 +140,21 @@ class LpSolution:
 class SimplexSolver:
     def __init__(self, problem: LpProblem):
         self.problem = problem
-        A = problem.coeffs
         m, n = problem.nrows, problem.ncols
         self.m, self.nstruct = m, n
         N = n + 2 * m
         self.N = N
 
-        T = np.zeros((m, N))
+        # the full initial tableau [A | I | I] (structural, slack and
+        # artificial columns); it stays on as the refresh's scratch, shared
+        # by clones
+        wide = np.zeros((m, N))
         if m:
-            T[:, :n] = A
+            wide[:, :n] = problem.coeffs
             idx = np.arange(m)
-            T[idx, n + idx] = 1.0          # slack
-            T[idx, n + m + idx] = 1.0      # artificial
-        self.T = T
+            wide[idx, n + idx] = 1.0
+            wide[idx, n + m + idx] = 1.0
+        self._wide = wide
 
         lower = np.full(N, 0.0)
         upper = np.full(N, 0.0)
@@ -156,6 +175,13 @@ class SimplexSolver:
         self._degen_run = 0
         self._since_refresh = 0
         self._init_basis()
+        # the initial basis is the identity, so T holds the columns that
+        # can enter as they are; no artificial is among them, as each is
+        # basic or fixed at zero
+        self.nonbasic = np.flatnonzero((self.vstat != BASIC) & ((lower != 0.0) | (upper != 0.0)))
+        self.slot = np.full(N, -1, dtype=np.int64)
+        self.slot[self.nonbasic] = np.arange(self.nonbasic.size)
+        self.T = np.ascontiguousarray(wide[:, self.nonbasic])
 
     def clone(self) -> "SimplexSolver":
         """An independent solver in this one's state: every array copied,
@@ -180,7 +206,7 @@ class SimplexSolver:
         vstat[:n] = np.where(fin_lo, AT_LOWER, np.where(fin_up, AT_UPPER, FREE))
         if not m:
             return
-        resid = self.rhs_col - self.T[:, :n] @ val[:n]
+        resid = self.rhs_col - self._wide[:, :n] @ val[:n]
         s_cols = np.arange(n, n + m)
         a_cols = s_cols + m
         lo_s, up_s = lower[s_cols], upper[s_cols]
@@ -204,10 +230,16 @@ class SimplexSolver:
 
     def _refresh(self, cost: np.ndarray) -> np.ndarray:
         if self.m:
+            # both products run at full width (see the module docstring);
+            # a column not stored keeps stale entries in wide, which meet
+            # only a zero value and give a reduced cost that is never priced
+            nb, basis, wide = self.nonbasic, self.basis, self._wide
+            wide[:, nb] = self.T
             vnb = self.val.copy()
-            vnb[self.basis] = 0.0
-            self.val[self.basis] = self.rhs_col - self.T @ vnb
-            d = cost - cost[self.basis] @ self.T
+            vnb[basis] = 0.0
+            self.val[basis] = self.rhs_col - wide @ vnb
+            d = cost - cost[basis] @ wide
+            d[basis] = 0.0
         else:
             d = cost.copy()
         self._since_refresh = 0
@@ -216,6 +248,7 @@ class SimplexSolver:
     def _optimize(self, cost: np.ndarray, phase1: bool) -> LpStatus:
         m, n = self.m, self.nstruct
         T, val, vstat, basis = self.T, self.val, self.vstat, self.basis
+        nonbasic, slot = self.nonbasic, self.slot
         lower, upper, rhs_col = self.lower, self.upper, self.rhs_col
         d = self._refresh(cost)
         max_pivots = 10000 + 200 * (m + n)
@@ -245,18 +278,15 @@ class SimplexSolver:
             else:
                 sigma = 1.0 if d[j] < 0 else -1.0
 
-            col = T[:, j].copy() if m else np.zeros(0)
+            p = int(slot[j])
+            col = T[:, p].copy()
             delta = sigma * col
             if m:
                 vb = val[basis]
-                lob = lower[basis]
-                upb = upper[basis]
-                limits = np.full(m, np.inf)
-                pos = delta > 1e-11
-                neg = delta < -1e-11
-                with np.errstate(invalid="ignore"):
-                    limits[pos] = (vb[pos] - lob[pos]) / delta[pos]
-                    limits[neg] = (upb[neg] - vb[neg]) / (-delta[neg])
+                size = np.abs(delta)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    limits = np.where(delta > 0, vb - lower[basis], upper[basis] - vb) / size
+                limits[size <= 1e-11] = np.inf
                 np.maximum(limits, 0.0, out=limits)
                 t_row = float(limits.min())
             else:
@@ -298,7 +328,22 @@ class SimplexSolver:
                     val[k], vstat[k] = lower[k], AT_LOWER
                 else:
                     val[k], vstat[k] = upper[k], AT_UPPER
-                piv = T[r, j]
+                piv = col[r]
+                if lower[k] == 0.0 == upper[k]:
+                    # k never enters again: move the last slot into j's
+                    last = nonbasic.size - 1
+                    T[:, p] = T[:, last]
+                    nonbasic[p] = nonbasic[last]
+                    slot[nonbasic[p]] = p
+                    T = self.T = T[:, :last]
+                    nonbasic = self.nonbasic = nonbasic[:last]
+                else:
+                    # j's slot takes k's column, the unit column e_r
+                    T[:, p] = 0.0
+                    T[r, p] = 1.0
+                    nonbasic[p] = k
+                    slot[k] = p
+                slot[j] = -1
                 col[r] = 0.0
                 T[r] /= piv
                 rhs_col[r] /= piv
@@ -309,7 +354,7 @@ class SimplexSolver:
                     T -= np.outer(col, T[r])
                 rhs_col -= col * rhs_col[r]
                 dj = d[j]
-                d -= dj * T[r]
+                d[nonbasic] -= dj * T[r]
                 d[j] = 0.0
                 basis[r] = j
                 vstat[j] = BASIC
@@ -341,16 +386,21 @@ class SimplexSolver:
         first = self.nstruct + self.m
         kept_arts = first + np.flatnonzero(self.vstat[first:] == BASIC)
         keep = np.concatenate([np.arange(first), kept_arts])
-        # columns keep their order, so every index-based tie-break picks
-        # the same column as it would on the full tableau
+        # variables keep their order, so every index-based tie-break picks
+        # the same column as it would without the drop
         renumber = np.empty(self.N, dtype=np.int64)
         renumber[keep] = np.arange(keep.size)
         self.basis = renumber[self.basis]
-        self.T = np.ascontiguousarray(self.T[:, keep])
+        stored = self.nonbasic < first
+        self.T = np.ascontiguousarray(self.T[:, stored])
+        self.nonbasic = renumber[self.nonbasic[stored]]
         self.val, self.vstat, self.lower, self.upper, self.phase1_cost = (
             arr[keep] for arr in (self.val, self.vstat, self.lower, self.upper, self.phase1_cost)
         )
         self.N = keep.size
+        self.slot = np.full(self.N, -1, dtype=np.int64)
+        self.slot[self.nonbasic] = np.arange(self.nonbasic.size)
+        self._wide = np.zeros((self.m, self.N))
         # an artificial still basic sits at zero on a redundant row; pin it there
         arts = slice(first, self.N)
         self.lower[arts] = 0.0

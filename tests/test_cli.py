@@ -78,6 +78,34 @@ def test_bad_flip_settings_are_argument_errors(capsys, argv):
     assert "error: argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alg", "naive", "zero-frac-stall:0"],
+    ["solve", "--alg", "naive", "zero-frac-stall:abc"],
+    ["solve", "--alg", "naive", "zero-frac-stall:-2"],
+    ["solve", "--alg", "naive", "--max-iter", "-3", "fractional-stall"],
+    ["solve", "--alg", "naive", "--seed", "-1", "fractional-stall"],
+    ["solve", "--alg", "naive", "zero-frac-stallx"],
+    ["gen", "--family", "zero-frac-stall", "--t-max", "0"],
+    ["gen", "--family", "subset-sum", "--k", "0"],
+    ["gen", "--family", "decomposable", "--n", "2", "--s", "3"],
+    ["bench", "--instances", os.path.join(DATA, "fractional_stall.pl"), "--algs", "orig",
+     "--seeds", "3..1"],
+    ["bench", "--family", "subset-sum", "--ks", "0", "--seeds", "1"],
+    ["bench", "--instances", os.path.join(DATA, "fractional_stall.pl"), "--algs", "orig",
+     "--seeds=-2..-1"],
+    ["verify-bounds", "--theorem", "1", "--runs", "0"],
+])
+def test_bad_inputs_fail_cleanly(capsys, argv):
+    # without the checks these raised a traceback, printed "iterations: -3"
+    # for a negative --max-iter, or ran a misspelt alias as zero-frac-stall:3
+    try:
+        rc = main(argv)
+    except SystemExit as e:
+        rc = e.code
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_file_is_a_clean_error(capsys):
     rc, _, err = run_cli(capsys, "solve", "--alg", "wfp", "no/such/file.pl")
     assert rc == 2

@@ -254,7 +254,12 @@ def test_redundant_equality_keeps_its_artificial_basic():
     assert solver.ensure_phase1()
     kept = solver.basis[solver.basis >= n + m]
     assert kept.size == 1
-    assert solver.N == n + m + 1 and solver.T.shape == (m, n + m + 1)
+    assert solver.N == n + m + 1
+    # T stores the nonbasic columns not fixed at zero: neither the equality
+    # slacks nor the kept artificial
+    stored = [v for v in range(solver.N) if v not in solver.basis
+              and not solver.lower[v] == solver.upper[v] == 0.0]
+    assert solver.T.shape == (m, len(stored)) and sorted(solver.nonbasic) == stored
     assert solver.lower[kept[0]] == solver.upper[kept[0]] == 0.0
     for c in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -2.0, 1.0], [0.0, 1.0, 1.0]):
         c = np.array(c)
@@ -289,3 +294,107 @@ def test_compiled_view_keeps_one_instance(monkeypatch):
         ProjectionOracle(inst).relaxation()
         CertificateOracle(inst)
     assert len(phase1_runs) == 2
+
+
+@st.composite
+def warm_lps(draw):
+    # LE, GE and EQ rows over bounded and free columns; a feasible case puts
+    # a witness on the rows, most of them tight (degenerate right-hand sides)
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    coef = st.integers(-3, 3).map(float)
+    A = np.array(draw(st.lists(st.lists(coef, min_size=n, max_size=n), min_size=m, max_size=m)))
+    senses = draw(st.lists(st.sampled_from(_SENSES), min_size=m, max_size=m))
+    free = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    upper = np.where(free, np.inf, draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=n, max_size=n)))
+    lower = np.where(free, -np.inf, 0.0)
+    if draw(st.booleans()):
+        witness = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+        witness[free] = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))[: free.sum()]
+        slack = np.array(draw(st.lists(st.sampled_from([0, 0, 1]), min_size=m, max_size=m)), dtype=float)
+        sign = np.array([{Sense.LE: 1.0, Sense.GE: -1.0, Sense.EQ: 0.0}[s] for s in senses])
+        rhs = A @ witness + sign * slack
+    else:
+        rhs = np.array(draw(st.lists(coef, min_size=m, max_size=m)))
+    problem = LpProblem(A, senses, rhs, np.zeros(n), lower=lower, upper=upper)
+    objectives = draw(st.lists(st.tuples(st.lists(coef, min_size=n, max_size=n), st.booleans()),
+                               min_size=1, max_size=6))
+    return problem, [(np.array(c), mx) for c, mx in objectives]
+
+
+def _phase1_kept_rows(solver):
+    """Run phase 1; return feasibility and the rows whose artificial was kept."""
+    first = solver.nstruct + solver.m
+    drop, seen = solver._drop_artificials, {}
+
+    def spy():
+        seen["rows"] = np.sort(solver.basis[solver.basis >= first]) - first
+        drop()
+
+    solver._drop_artificials = spy
+    try:
+        return solver.ensure_phase1(), seen.get("rows")
+    finally:
+        del solver._drop_artificials
+
+
+@settings(max_examples=150, deadline=None)
+@given(warm_lps())
+def test_condensed_tableau_is_the_basis_solve_of_the_stored_columns(case):
+    problem, objectives = case
+    solver = SimplexSolver(problem)
+    feasible, art_rows = _phase1_kept_rows(solver)
+    if not feasible:
+        return
+    A, m = problem.coeffs, problem.nrows
+    M = np.hstack([A, np.eye(m), np.eye(m)[:, art_rows]])
+    assert M.shape[1] == solver.N
+    for c, maximize in objectives:
+        solver.resolve(c, maximize=maximize)
+        basis, nonbasic, slot = solver.basis, solver.nonbasic, solver.slot
+        # nonbasic and slot are inverse maps
+        np.testing.assert_array_equal(slot[nonbasic], np.arange(nonbasic.size))
+        assert np.count_nonzero(slot >= 0) == nonbasic.size
+        # exactly the nonbasic columns not fixed at zero are stored
+        can_enter = ~((solver.lower == 0.0) & (solver.upper == 0.0))
+        can_enter[basis] = False
+        np.testing.assert_array_equal(np.sort(nonbasic), np.flatnonzero(can_enter))
+        np.testing.assert_allclose(solver.T, np.linalg.solve(M[:, basis], M[:, nonbasic]),
+                                   rtol=0, atol=1e-8)
+
+
+def _highs(problem, c, maximize, linprog):
+    # scipy status: 0 optimal, 2 infeasible, 3 unbounded
+    A, b = problem.coeffs, problem.rhs
+    le = np.array([s is Sense.LE for s in problem.senses])
+    ge = np.array([s is Sense.GE for s in problem.senses])
+    eq = ~(le | ge)
+    res = linprog(
+        -c if maximize else c,
+        A_ub=np.vstack([A[le], -A[ge]]), b_ub=np.concatenate([b[le], -b[ge]]),
+        A_eq=A[eq], b_eq=b[eq],
+        bounds=[(None if np.isinf(lo) else lo, None if np.isinf(up) else up)
+                for lo, up in zip(problem.lower, problem.upper)],
+        method="highs", options={"presolve": False},
+    )
+    status = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}[res.status]
+    value = None if status is not LpStatus.OPTIMAL else (-res.fun if maximize else res.fun)
+    return status, value
+
+
+def test_warm_resolves_match_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+
+    @settings(max_examples=150, deadline=None)
+    @given(warm_lps())
+    def check(case):
+        problem, objectives = case
+        solver = SimplexSolver(problem)
+        for c, maximize in objectives:
+            sol = solver.resolve(c, maximize=maximize)
+            status, value = _highs(problem, c, maximize, linprog)
+            assert sol.status == status
+            if status is LpStatus.OPTIMAL:
+                assert sol.objective == pytest.approx(value, rel=0, abs=1e-7)
+
+    check()
