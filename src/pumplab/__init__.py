@@ -33,7 +33,7 @@ from .model import (
     detect_blocks,
     normalize,
 )
-from .lp import LpProblem, LpSolution, LpStatus, SimplexSolver, lift, solve_lp
+from .lp import LpProblem, LpSolution, LpStatus, SimplexSolver
 from .projection import (
     ProjectionEntry,
     ProjectionOracle,

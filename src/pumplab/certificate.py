@@ -11,6 +11,13 @@ lambda @ A x~ > lambda @ b. Normalizing lambda to sum 1 gives the LP
 whose optimal basic solutions have at most d+1 positive weights and are
 support-minimal: a certificate supported on a strict subset would give a
 nontrivial null combination of the basis columns.
+
+By Farkas' lemma the converse holds too: when this LP has no solution of
+value above VIOLATION_TOL (or no solution at all, as when no combination cancels
+the continuous columns or there are no rows), some y satisfies
+B y <= b - A x~, so x~ lifts to a point of P. NotACertificate is thus
+the test of whether a binary point lifts; the pump drivers take y from
+the projection of such a point.
 """
 
 from __future__ import annotations
@@ -48,12 +55,10 @@ def _lambda_problem(view: CompiledInstance) -> LpProblem:
     # B.T @ lambda = 0, sum(lambda) = 1, lambda >= 0; the cost row is set
     # by each resolve
     m, d = view.norm.m, view.instance.d
-    coeffs = np.vstack([view.B.T, np.ones((1, m))]) if m else np.zeros((d + 1, 0))
     return LpProblem(
-        coeffs=coeffs,
+        coeffs=np.vstack([view.B.T, np.ones((1, m))]),
         senses=[Sense.EQ] * (d + 1),
         rhs=np.concatenate([np.zeros(d), [1.0]]),
-        objective=np.zeros(m),
         lower=np.zeros(m),
         upper=np.full(m, np.inf),
     )
@@ -150,12 +155,10 @@ def verify_minimal(instance: MixedBinaryInstance, cert: ProjectedCertificate, to
                 coeffs=coeffs,
                 senses=[Sense.EQ] * (d + 1),
                 rhs=np.concatenate([np.zeros(d), [1.0]]),
-                objective=v[idx],
-                maximize=True,
                 lower=np.zeros(len(idx)),
                 upper=np.full(len(idx), np.inf),
             )
-            sol = SimplexSolver(problem).solve()
+            sol = SimplexSolver(problem).resolve(v[idx], maximize=True)
             if sol.status is LpStatus.OPTIMAL and sol.objective > tol:
                 return False
     return True

@@ -23,10 +23,12 @@ smallest variable index. The refresh of the basic values and reduced
 costs scatters T into a full-width scratch matrix and multiplies there,
 so BLAS sums the same terms in the same order as on the full tableau.
 
-The solver object keeps its factorized state alive so callers can re-enter
-phase 2 with a fresh objective (`resolve`), and `clone` copies that state
-into an independent solver. The projection and certificate oracles depend
-on both: the constraint system never changes inside a pump run, only the
+An LpProblem is only the constraint system; it carries no objective.
+Every objective is posed through `resolve`, which runs phase 1 once on
+first use and then phase 2 with the cost vector it is given, from the
+basis the previous call left. `clone` copies that state into an
+independent solver. The projection and certificate oracles depend on
+both: the constraint system never changes inside a pump run, only the
 cost vector does, and each oracle starts from a clone of a solver that ran
 phase 1 once for the instance.
 
@@ -63,7 +65,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInstance, SolverFailure
-from .model import MixedBinaryInstance, MixedPoint, Sense, dense_rows, normalize
+from .model import MixedBinaryInstance, Sense, dense_rows, normalize
 
 FEAS_TOL = 1e-9      # phase-1 acceptance threshold
 COST_TOL = 1e-9      # reduced-cost optimality threshold
@@ -87,41 +89,36 @@ _STATE_ARRAYS = ("T", "nonbasic", "slot", "rhs_col", "val", "vstat", "basis", "l
 
 @dataclass
 class LpProblem:
-    """min or max objective @ x over {lower <= x <= upper, rows}."""
+    """The constraint system {lower <= x <= upper, rows}; no objective.
+
+    coeffs is 2-D, one row per constraint, and its shape gives the row and
+    column counts (a zero-row system is an array of shape (0, n)). Every
+    objective is posed by `SimplexSolver.resolve`.
+    """
 
     coeffs: np.ndarray
     senses: Sequence[Sense]
     rhs: np.ndarray
-    objective: np.ndarray
-    maximize: bool = False
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
-        m, n = self.coeffs.shape if self.coeffs.size else (0, np.asarray(self.objective).size)
-        if self.coeffs.size == 0:
-            self.coeffs = np.zeros((0, n))
-            m = 0
+        m, n = self.coeffs.shape
         self.rhs = np.asarray(self.rhs, dtype=float).reshape(-1)
-        self.objective = np.asarray(self.objective, dtype=float).reshape(-1)
         self.senses = tuple(Sense(s) for s in self.senses)
         self.lower = np.zeros(n) if self.lower is None else np.asarray(self.lower, dtype=float).reshape(-1)
         self.upper = np.full(n, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float).reshape(-1)
         if self.rhs.shape != (m,) or len(self.senses) != m:
             raise DimensionMismatch("rhs/senses length does not match row count")
-        if self.objective.shape != (n,) or self.lower.shape != (n,) or self.upper.shape != (n,):
-            raise DimensionMismatch("objective/bounds length does not match column count")
-        if not (np.all(np.isfinite(self.coeffs)) and np.all(np.isfinite(self.rhs)) and np.all(np.isfinite(self.objective))):
-            raise InvalidInstance("coefficients, rhs and objective must be finite")
+        if self.lower.shape != (n,) or self.upper.shape != (n,):
+            raise DimensionMismatch("bounds length does not match column count")
+        if not (np.all(np.isfinite(self.coeffs)) and np.all(np.isfinite(self.rhs))):
+            raise InvalidInstance("coefficients and rhs must be finite")
         if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
             raise InvalidInstance("bounds must not be NaN")
         if np.any(self.lower > self.upper):
             raise InvalidInstance("lower bound above upper bound")
-
-    @property
-    def ncols(self) -> int:
-        return self.objective.size
 
     @property
     def nrows(self) -> int:
@@ -140,7 +137,7 @@ class LpSolution:
 class SimplexSolver:
     def __init__(self, problem: LpProblem):
         self.problem = problem
-        m, n = problem.nrows, problem.ncols
+        m, n = problem.coeffs.shape
         self.m, self.nstruct = m, n
         N = n + 2 * m
         self.N = N
@@ -424,9 +421,6 @@ class SimplexSolver:
             return LpSolution(LpStatus.OPTIMAL, x, float(c_user @ x), cstat, is_vertex=True)
         return LpSolution(LpStatus.UNBOUNDED, x, None, cstat, is_vertex=False)
 
-    def solve(self) -> LpSolution:
-        return self.resolve(self.problem.objective, self.problem.maximize)
-
     def _snapped_x(self) -> np.ndarray:
         x = self.val[: self.nstruct].copy()
         lo, up = self.problem.lower, self.problem.upper
@@ -476,36 +470,3 @@ class CompiledInstance:
             self._solvers[build] = base
         return base.clone()
 
-
-def solve_lp(problem: LpProblem) -> LpSolution:
-    return SimplexSolver(problem).solve()
-
-
-def lift(instance: MixedBinaryInstance, x_tilde, tol: float = 1e-9) -> Optional[MixedPoint]:
-    """A full point (x_tilde, y) of the instance, or None when none exists.
-
-    For d = 0 this is a direct row check; otherwise a feasibility LP in the
-    continuous columns with the binary part fixed.
-    """
-    x = np.asarray(x_tilde, dtype=float).reshape(-1)
-    if x.shape != (instance.n,):
-        raise DimensionMismatch("binary point length does not match instance")
-    view = CompiledInstance.of(instance)
-    m = view.norm.m
-    resid = view.b - view.A @ x if m else np.zeros(0)
-    if instance.d == 0:
-        if np.all(resid >= -tol):
-            return MixedPoint(x.copy(), np.zeros(0))
-        return None
-    problem = LpProblem(
-        coeffs=view.B,
-        senses=[Sense.LE] * m,
-        rhs=resid,
-        objective=np.zeros(instance.d),
-        lower=np.full(instance.d, -np.inf),
-        upper=np.full(instance.d, np.inf),
-    )
-    sol = solve_lp(problem)
-    if sol.status is LpStatus.OPTIMAL:
-        return MixedPoint(x.copy(), sol.x)
-    return None

@@ -14,7 +14,7 @@ pay a dict lookup instead of an LP solve.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,12 +68,10 @@ def _projection_problem(view: CompiledInstance) -> LpProblem:
     # the relaxation x in [0, 1]^n, y free, normalized rows; the cost row
     # is set by each resolve
     n, d, m = view.instance.n, view.instance.d, view.norm.m
-    coeffs = np.hstack([view.A, view.B]) if m else np.zeros((0, n + d))
     return LpProblem(
-        coeffs=coeffs,
+        coeffs=np.hstack([view.A, view.B]),
         senses=[Sense.LE] * m,
         rhs=view.b,
-        objective=np.zeros(n + d),
         lower=np.concatenate([np.zeros(n), np.full(d, -np.inf)]),
         upper=np.concatenate([np.ones(n), np.full(d, np.inf)]),
     )
@@ -137,9 +135,12 @@ class ProjectionOracle:
         return not (lhs > self.b + 1e-9).any()
 
 
-def _fixpoint(oracle: ProjectionOracle, x_tilde) -> tuple[np.ndarray, ProjectionEntry]:
+def alt_proj_star(oracle: ProjectionOracle, x_tilde) -> tuple[np.ndarray, ProjectionEntry]:
     """The fixpoint z of x -> round_binary(projection of x) from x_tilde,
-    with the projection entry of z itself."""
+    with the projection entry of z itself.
+
+    Running out of 2n + 10 applications raises NoFixpoint.
+    """
     cap = 2 * oracle.n + 10
     z = as_binary(x_tilde)
     key = z.tobytes()
@@ -149,13 +150,3 @@ def _fixpoint(oracle: ProjectionOracle, x_tilde) -> tuple[np.ndarray, Projection
             return z.copy(), e
         z, key = e.rounded, e.rounded_key
     raise NoFixpoint(f"no alternating-projection fixpoint within {cap} applications")
-
-
-def alt_proj_star(
-    instance: MixedBinaryInstance, x_tilde, oracle: Optional[ProjectionOracle] = None
-) -> np.ndarray:
-    """Iterate x -> round_binary(projection of x) to its fixpoint.
-
-    Running out of 2n + 10 applications raises NoFixpoint.
-    """
-    return _fixpoint(oracle if oracle is not None else ProjectionOracle(instance), x_tilde)[0]

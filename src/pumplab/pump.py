@@ -6,6 +6,13 @@ and differ only in its stall, revisit and acceptance policies.
 run_mb_walksat walks by certificate flips alone, and run_wfp_compressed
 collapses each projection sequence to its fixpoint before perturbing.
 
+The certificate variants (wfp's stall rule, run_mb_walksat and
+run_wfp_compressed) ask the certificate oracle about their binary point
+first and perturb on the certificate it returns. NotACertificate means,
+by Farkas' lemma, that the point lies in the binary projection of P, so
+they return lift(oracle, x): the point with the y of its own projection.
+No other test of whether a point lifts is made.
+
 run() starts a variant by its name in ALGORITHMS. The run_* functions,
 the flip rules and lift are looked up in this module's namespace when
 they are called, so a wrapper installed on the module sees every call.
@@ -24,8 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .certificate import CertificateOracle
-from .errors import NotACertificate
-from .lp import lift
+from .errors import NotACertificate, SolverFailure
 from .model import MixedBinaryInstance, MixedPoint
 from .perturb import (
     DEFAULT_TT_RANGE,
@@ -35,7 +41,7 @@ from .perturb import (
     restart_perturb,
     wfpbase_perturb,
 )
-from .projection import ProjectionOracle, _fixpoint, is_integral, round_binary
+from .projection import ProjectionOracle, alt_proj_star, as_binary, is_integral, round_binary
 
 # rounded points wfpbase remembers for its revisit test; the oldest goes first
 HISTORY_CAP = 10_000
@@ -93,6 +99,17 @@ def _found(trace: PumpTrace, t: int, point: MixedPoint, record: bool) -> PumpTra
     if record:
         trace.records.append(TraceRecord(t, "return"))
     return trace
+
+
+def lift(oracle: ProjectionOracle, x: np.ndarray) -> MixedPoint:
+    """The point (x, y) of a binary x that has no certificate, y taken from
+    the projection of x. Such an x projects onto itself, so the pair meets
+    every row; SolverFailure when it does not."""
+    e = oracle.entry(x)
+    xf = x.astype(float)
+    if not oracle.pair_feasible(xf, e.y_bar):
+        raise SolverFailure("a point without a certificate did not lift")
+    return MixedPoint(xf, e.y_bar.copy())
 
 
 def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, record: bool, *,
@@ -153,12 +170,7 @@ def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, rec
                     try:
                         cert = certs.min_certificate(nxt.astype(float))
                     except NotACertificate:
-                        # the rounded point is in the projection after all
-                        # (possible only with continuous columns); lift it
-                        lifted = lift(instance, nxt.astype(float))
-                        if lifted is not None:
-                            return _found(trace, t, lifted, record)
-                        raise
+                        return _found(trace, t, lift(oracle, nxt), record)
                     out = perturb_l(nxt, cert, l, rng)
                 trace.perturbations += 1
                 if record:
@@ -235,20 +247,6 @@ def run_wfpbase_fp(
                  tt_range=tt_range)
 
 
-def _feasible_lift(instance, oracle: ProjectionOracle, x: np.ndarray, cache: dict):
-    """Lift of a binary point against its instance, memoized by bytes."""
-    key = x.tobytes()
-    if key in cache:
-        return cache[key]
-    if instance.d == 0:
-        ok = oracle.pair_feasible(x.astype(float), np.zeros(0))
-        res = MixedPoint(x.astype(float), np.zeros(0)) if ok else None
-    else:
-        res = lift(instance, x.astype(float))
-    cache[key] = res
-    return res
-
-
 def run_mb_walksat(
     instance: MixedBinaryInstance,
     l: int,
@@ -257,29 +255,29 @@ def run_mb_walksat(
     rng: Optional[np.random.Generator] = None,
     record: bool = True,
 ) -> PumpTrace:
-    """Pure certificate walk: while the point has no feasible lift, flip
-    within a minimal certificate's support. iterations == perturbations.
-    start=None draws a uniform 0/1 point from rng."""
+    """Pure certificate walk: while the point has a certificate, flip
+    within its support; a point without one is lifted and returned.
+    iterations == perturbations. start=None draws a uniform 0/1 point from
+    rng; a start that is not an exact 0/1 vector raises NonBinaryVector."""
     if rng is None:
         raise ValueError("rng is required")
-    oracle = ProjectionOracle(instance)  # validates feasibility, serves row checks
+    oracle = ProjectionOracle(instance)  # validates feasibility, lifts the found point
     certs = CertificateOracle(instance)
     trace = PumpTrace("mbwalksat", instance.name, None)
     if start is None:
         x = rng.integers(0, 2, size=instance.n).astype(np.int8)
     else:
-        x = np.ascontiguousarray(start, dtype=np.int8).reshape(-1)
+        x = as_binary(start)
     if x.shape != (instance.n,):
         raise ValueError("start point length does not match instance")
-    lifts: dict = {}
     for t in range(max_iter + 1):
-        lifted = _feasible_lift(instance, oracle, x, lifts)
-        if lifted is not None:
+        try:
+            cert = certs.min_certificate(x.astype(float))
+        except NotACertificate:
             trace.perturbations = t
-            return _found(trace, t, lifted, record)
+            return _found(trace, t, lift(oracle, x), record)
         if t == max_iter:
             break
-        cert = certs.min_certificate(x.astype(float))
         out = perturb_l(x, cert, l, rng)
         if record:
             trace.records.append(TraceRecord(t + 1, "perturb", out.kind, out.flipped))
@@ -295,7 +293,8 @@ def run_wfp_compressed(
     rng: np.random.Generator,
     record: bool = True,
 ) -> PumpTrace:
-    """Collapse each projection sequence to its fixpoint, then perturb.
+    """Collapse each projection sequence to its fixpoint, then perturb on
+    its certificate; a fixpoint without one is lifted and returned.
 
     Raises NoFixpoint when the alternating projection fails to settle
     within alt_proj_star's cap (cannot happen on single-row subset-sum
@@ -308,15 +307,14 @@ def run_wfp_compressed(
     z = round_binary(x_bar)
     if record:
         trace.records.append(TraceRecord(0, "round"))
-    lifts: dict = {}
     for t in range(1, max_iter + 1):
-        z, e = _fixpoint(oracle, z)
+        z, e = alt_proj_star(oracle, z)
         if record:
             trace.records.append(TraceRecord(t, "altproj", distance=e.distance))
-        lifted = _feasible_lift(instance, oracle, z, lifts)
-        if lifted is not None:
-            return _found(trace, t, lifted, record)
-        cert = certs.min_certificate(z.astype(float))
+        try:
+            cert = certs.min_certificate(z.astype(float))
+        except NotACertificate:
+            return _found(trace, t, lift(oracle, z), record)
         out = perturb_l(z, cert, l, rng)
         trace.perturbations += 1
         if record:

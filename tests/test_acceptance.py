@@ -29,7 +29,7 @@ from pumplab.gen import (
     gen_two_stage,
     zero_frac_stall_instance,
 )
-from pumplab.lp import LpProblem, solve_lp
+from pumplab.lp import LpProblem, SimplexSolver
 from pumplab.model import Sense, check_feasible
 from pumplab.perturb import make_rng
 from pumplab.projection import ProjectionOracle
@@ -185,8 +185,8 @@ def test_criterion_09_projections_are_near_integral_vertices():
         for _ in range(2):
             xt = rng.integers(0, 2, n)
             c = 1.0 - 2.0 * xt
-            prob = LpProblem([a], [Sense.EQ], [row.rhs], c, upper=np.ones(n))
-            sol = solve_lp(prob)
+            prob = LpProblem([a], [Sense.EQ], [row.rhs], upper=np.ones(n))
+            sol = SimplexSolver(prob).resolve(c)
             frac = np.sum((sol.x > 1e-6) & (sol.x < 1 - 1e-6))
             assert frac <= 1
             e = oracle.entry(xt.astype(np.int8))

@@ -5,19 +5,19 @@ from hypothesis import strategies as st
 
 from oracles import enum_box_lp, lift_exists
 from pumplab.certificate import CertificateOracle
-from pumplab.errors import InvalidInstance
+from pumplab.errors import InvalidInstance, NotACertificate
 from pumplab.gen import fractional_stall_instance, gen_subset_sum, zero_frac_stall_instance
-from pumplab.lp import CompiledInstance, LpProblem, LpStatus, SimplexSolver, lift, solve_lp
+from pumplab.lp import CompiledInstance, LpProblem, LpStatus, SimplexSolver
 from pumplab.projection import ProjectionOracle
+from pumplab.pump import lift
 from pumplab.model import LinearRow, MixedBinaryInstance, Sense
 from pumplab.perturb import make_rng
 
 
 def test_relaxation_of_single_eq_instance():
     # max x2 s.t. 3 x1 + x2 = 3, x in [0,1]^2: optimum 1 at (2/3, 1)
-    prob = LpProblem([[3.0, 1.0]], [Sense.EQ], [3.0], [0.0, 1.0],
-                     maximize=True, upper=[1.0, 1.0])
-    sol = solve_lp(prob)
+    prob = LpProblem([[3.0, 1.0]], [Sense.EQ], [3.0], upper=[1.0, 1.0])
+    sol = SimplexSolver(prob).resolve([0.0, 1.0], maximize=True)
     assert sol.status == LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
     np.testing.assert_allclose(sol.x, [2 / 3, 1.0], atol=1e-9)
@@ -25,25 +25,25 @@ def test_relaxation_of_single_eq_instance():
 
 
 def test_infeasible_detected():
-    prob = LpProblem([[1.0]], [Sense.LE], [-1.0], [1.0], maximize=True, upper=[1.0])
-    assert solve_lp(prob).status == LpStatus.INFEASIBLE
+    prob = LpProblem([[1.0]], [Sense.LE], [-1.0], upper=[1.0])
+    assert SimplexSolver(prob).resolve([1.0], maximize=True).status == LpStatus.INFEASIBLE
 
 
 def test_unbounded_detected():
-    prob = LpProblem(np.zeros((0, 1)), [], [], [1.0], maximize=True)
-    assert solve_lp(prob).status == LpStatus.UNBOUNDED
+    prob = LpProblem(np.zeros((0, 1)), [], [])
+    assert SimplexSolver(prob).resolve([1.0], maximize=True).status == LpStatus.UNBOUNDED
 
 
 def test_bounds_validation():
     with pytest.raises(InvalidInstance):
-        LpProblem([[1.0]], [Sense.LE], [1.0], [1.0], lower=[2.0], upper=[1.0])
+        LpProblem([[1.0]], [Sense.LE], [1.0], lower=[2.0], upper=[1.0])
 
 
 def test_equality_with_free_column():
     # x + y = 2 with y free, minimize y: pushes y to 2 - upper(x)
-    prob = LpProblem([[1.0, 1.0]], [Sense.EQ], [2.0], [0.0, 1.0],
+    prob = LpProblem([[1.0, 1.0]], [Sense.EQ], [2.0],
                      upper=[1.0, np.inf], lower=[0.0, -np.inf])
-    sol = solve_lp(prob)
+    sol = SimplexSolver(prob).resolve([0.0, 1.0])
     assert sol.status == LpStatus.OPTIMAL
     np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-9)
 
@@ -58,9 +58,9 @@ def test_vertex_rank_bound_on_random_problems():
         x0 = rng.random(n)
         b = A @ x0 + rng.random(m)          # keeps the box feasible
         senses = [Sense.LE] * m
-        prob = LpProblem(A, senses, b, rng.integers(-3, 4, n).astype(float),
-                         maximize=bool(rng.integers(0, 2)), upper=np.ones(n))
-        sol = solve_lp(prob)
+        prob = LpProblem(A, senses, b, upper=np.ones(n))
+        sol = SimplexSolver(prob).resolve(rng.integers(-3, 4, n).astype(float),
+                                          maximize=bool(rng.integers(0, 2)))
         assert sol.status == LpStatus.OPTIMAL
         interior = np.sum((sol.x > prob.lower + 1e-7) & (sol.x < prob.upper - 1e-7))
         assert interior <= m
@@ -79,8 +79,8 @@ def test_matches_enumeration_oracle_small_boxes():
         x0 = rng.integers(0, 2, n).astype(float)
         b = A @ x0  # witness keeps EQ rows satisfiable
         c = rng.integers(-3, 4, n).astype(float)
-        prob = LpProblem(A, [s for s, _ in all_senses], b, c, maximize=True, upper=np.ones(n))
-        sol = solve_lp(prob)
+        prob = LpProblem(A, [s for s, _ in all_senses], b, upper=np.ones(n))
+        sol = SimplexSolver(prob).resolve(c, maximize=True)
         status, value, _ = enum_box_lp(A, [t for _, t in all_senses], b,
                                        np.zeros(n), np.ones(n), c, maximize=True)
         if status == "infeasible":
@@ -102,8 +102,8 @@ def test_subset_sum_projection_matches_enumeration():
         b = float(a @ xs)
         xt = rng.integers(0, 2, n).astype(float)
         c = 1.0 - 2.0 * xt                   # sum_{xt=0} x + sum_{xt=1} (1-x), constant dropped
-        prob = LpProblem([a], [Sense.EQ], [b], c, upper=np.ones(n))
-        sol = solve_lp(prob)
+        prob = LpProblem([a], [Sense.EQ], [b], upper=np.ones(n))
+        sol = SimplexSolver(prob).resolve(c)
         assert sol.status == LpStatus.OPTIMAL
         status, value, _ = enum_box_lp([a], ["="], [b], np.zeros(n), np.ones(n), c)
         assert status == "optimal"
@@ -113,7 +113,7 @@ def test_subset_sum_projection_matches_enumeration():
 
 
 def test_resolve_reuses_feasible_basis():
-    prob = LpProblem([[3.0, 1.0]], [Sense.EQ], [3.0], [0.0, 0.0], upper=[1.0, 1.0])
+    prob = LpProblem([[3.0, 1.0]], [Sense.EQ], [3.0], upper=[1.0, 1.0])
     solver = SimplexSolver(prob)
     s1 = solver.resolve(np.array([0.0, 1.0]), maximize=True)
     assert s1.objective == pytest.approx(1.0, abs=1e-9)
@@ -125,11 +125,16 @@ def test_resolve_reuses_feasible_basis():
 
 
 def test_lift_pure_binary_checks_rows_directly():
+    # with no continuous columns a point has no certificate exactly when it
+    # meets every row, and it lifts with an empty y
     inst = fractional_stall_instance()
-    pt = lift(inst, np.array([1, 0], dtype=np.int8))
-    assert pt is not None and pt.y.size == 0
+    certs = CertificateOracle(inst)
+    with pytest.raises(NotACertificate):
+        certs.min_certificate([1.0, 0.0])
+    pt = lift(ProjectionOracle(inst), np.array([1, 0], dtype=np.int8))
+    assert pt.y.size == 0
     np.testing.assert_array_equal(pt.x, [1, 0])
-    assert lift(inst, np.array([1, 1], dtype=np.int8)) is None
+    assert certs.min_certificate([1.0, 1.0]).violation > 0
 
 
 def test_lift_solves_for_continuous_part():
@@ -139,12 +144,15 @@ def test_lift_solves_for_continuous_part():
         LinearRow({}, {0: 1.0}, Sense.LE, 1.0),
     )
     inst = MixedBinaryInstance(name="lift", n=1, d=1, rows=rows)
-    pt = lift(inst, np.array([1], dtype=np.int8))
-    assert pt is not None
+    with pytest.raises(NotACertificate):
+        CertificateOracle(inst).min_certificate([1.0])
+    pt = lift(ProjectionOracle(inst), np.array([1], dtype=np.int8))
     assert pt.y[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lift_agrees_with_elimination_oracle():
+    # Farkas: no certificate exactly when a lift exists, and then the
+    # projection's y completes the point
     rng = make_rng(3)
     agree_yes = agree_no = 0
     for trial in range(120):
@@ -161,14 +169,17 @@ def test_lift_agrees_with_elimination_oracle():
         )
         inst = MixedBinaryInstance(name=f"rand{trial}", n=n, d=d, rows=rows)
         xb = rng.integers(0, 2, n).astype(np.int8)
-        got = lift(inst, xb)
         want = lift_exists(A, B, b, xb.astype(float))
-        assert (got is not None) == want
-        if want:
+        try:
+            CertificateOracle(inst).min_certificate(xb.astype(float))
+        except NotACertificate:
+            assert want
             agree_yes += 1
+            got = lift(ProjectionOracle(inst), xb)
             resid = b - A @ xb - B @ got.y
             assert resid.min() > -1e-7
         else:
+            assert not want
             agree_no += 1
     assert agree_yes > 10 and agree_no > 10
 
@@ -192,8 +203,8 @@ def test_determinism_same_problem_same_solution():
     A = rng.integers(-3, 4, size=(4, 5)).astype(float)
     b = (A @ rng.random(5)) + 0.5
     c = rng.integers(-3, 4, 5).astype(float)
-    prob = lambda: LpProblem(A, [Sense.LE] * 4, b, c, maximize=True, upper=np.ones(5))
-    s1, s2 = solve_lp(prob()), solve_lp(prob())
+    solve = lambda: SimplexSolver(LpProblem(A, [Sense.LE] * 4, b, upper=np.ones(5))).resolve(c, maximize=True)
+    s1, s2 = solve(), solve()
     np.testing.assert_array_equal(s1.x, s2.x)
     assert s1.objective == s2.objective
 
@@ -215,7 +226,7 @@ def bounded_lps(draw):
     slack = np.array(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)), dtype=float)
     sign = np.array([{Sense.LE: 1.0, Sense.GE: -1.0, Sense.EQ: 0.0}[s] for s in senses])
     upper = np.array(draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=n, max_size=n)))
-    problem = LpProblem(A, senses, A @ witness + sign * slack, np.zeros(n), upper=upper)
+    problem = LpProblem(A, senses, A @ witness + sign * slack, upper=upper)
     objectives = draw(st.lists(st.tuples(st.lists(coef, min_size=n, max_size=n), st.booleans()),
                                min_size=1, max_size=6))
     return problem, [(np.array(c), mx) for c, mx in objectives]
@@ -248,7 +259,7 @@ def test_redundant_equality_keeps_its_artificial_basic():
     A = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
     b = np.array([1.0, 2.0, 1.0])
     senses = [Sense.EQ, Sense.EQ, Sense.LE]
-    solver = SimplexSolver(LpProblem(A, senses, b, np.zeros(3), upper=np.ones(3)))
+    solver = SimplexSolver(LpProblem(A, senses, b, upper=np.ones(3)))
     n, m = 3, 3
     assert solver.N == n + 2 * m
     assert solver.ensure_phase1()
@@ -316,7 +327,7 @@ def warm_lps(draw):
         rhs = A @ witness + sign * slack
     else:
         rhs = np.array(draw(st.lists(coef, min_size=m, max_size=m)))
-    problem = LpProblem(A, senses, rhs, np.zeros(n), lower=lower, upper=upper)
+    problem = LpProblem(A, senses, rhs, lower=lower, upper=upper)
     objectives = draw(st.lists(st.tuples(st.lists(coef, min_size=n, max_size=n), st.booleans()),
                                min_size=1, max_size=6))
     return problem, [(np.array(c), mx) for c, mx in objectives]

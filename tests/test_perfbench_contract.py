@@ -2,7 +2,7 @@
 
 perfbench/tracing.py and perfbench/workloads.py replace pumplab functions
 and methods by name (normalize and dense_rows in four modules, the pump
-entry points, the flip rules, the oracle constructors). A refactor that
+entry points, the flip rules, pump.lift, the oracle constructors). A refactor that
 drops or renames one of them breaks the benchmark, and this test with it.
 """
 
@@ -53,12 +53,15 @@ def test_tracer_and_recorder_install_and_uninstall(monkeypatch):
         # every layer the pump reaches is seen through the wrapped names
         for alg in ("wfpbase", "wfp"):
             pump.run(alg, gen.fractional_stall_instance(), make_rng(0), max_iter=50, record=False)
+        # a certificate walk with continuous columns ends in pump.lift
+        inst = gen.gen_decomposable(4, gen.BlockSpec(n=4, d=1, rows=3, s=2), make_rng(3)).instance
+        assert pump.run("mbwalksat", inst, make_rng(0), max_iter=5000, record=False).found
         seen = set(tracer.layers)
     finally:
         tracer.uninstall()
     assert _restored(saved)
     assert {"pump", "projection.init", "projection.entry", "lp.phase1", "lp.resolve",
-            "model.rebuild", "certificate.init", "certificate", "perturb", "gen"} <= seen
+            "model.rebuild", "certificate.init", "certificate", "perturb", "gen", "lp.lift"} <= seen
 
     recorder = workloads.Recorder()
     saved = _install(recorder)

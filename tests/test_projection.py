@@ -84,7 +84,8 @@ def test_alt_proj_star_lands_on_fixpoint():
         inst = gen_subset_sum(1, int(rng.integers(2, 7)), rng).instance
         start = rng.integers(0, 2, inst.n).astype(np.int8)
         oracle = ProjectionOracle(inst)
-        z = alt_proj_star(inst, start, oracle=oracle)
+        z, e = alt_proj_star(oracle, start)
+        assert e is oracle.entry(z)
         np.testing.assert_array_equal(oracle.entry(z).rounded, z)
 
 

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
+from pumplab.certificate import CertificateOracle
+from pumplab.errors import NonBinaryVector, NotACertificate
 from pumplab.gen import (
+    BlockSpec,
     fractional_stall_instance,
+    gen_decomposable,
     gen_subset_sum,
     zero_frac_stall_instance,
 )
+from pumplab.lp import SimplexSolver
 from pumplab.model import (
     LinearRow,
     MixedBinaryInstance,
@@ -119,6 +124,48 @@ def test_walksat_requires_rng_and_matching_start():
         run_mb_walksat(inst, 1)
     with pytest.raises(ValueError):
         run_mb_walksat(inst, 1, start=np.zeros(3, dtype=np.int8), rng=make_rng(0))
+
+
+def test_walksat_start_must_be_binary():
+    inst = fractional_stall_instance()
+    for start in ([2, 0], [0.7, 0]):
+        with pytest.raises(NonBinaryVector):
+            run_mb_walksat(inst, 1, start=start, rng=make_rng(0))
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_zero_row_instances_are_found_by_every_variant(d):
+    # no rows: no combination can certify anything, and every point lifts
+    inst = MixedBinaryInstance(name="norows", n=2, d=d, rows=())
+    with pytest.raises(NotACertificate):
+        CertificateOracle(inst).min_certificate([1.0, 0.0])
+    for alg in pump.ALGORITHMS:
+        trace = pump.run(alg, inst, make_rng(0), max_iter=50, record=False)
+        assert trace.found, alg
+        assert trace.point.y.size == d
+        assert check_feasible(inst, trace.point, tol=1e-9)
+
+
+def test_certificate_walks_run_phase1_once_per_lp(monkeypatch):
+    # a found point takes its y from the warm projection oracle, so a run
+    # solves phase 1 only for the projection and certificate LPs
+    phase1 = SimplexSolver.ensure_phase1
+    runs = []
+
+    def counted(solver):
+        if not solver._phase1_done:
+            runs.append(solver)
+        return phase1(solver)
+
+    monkeypatch.setattr(SimplexSolver, "ensure_phase1", counted)
+    for alg in ("mbwalksat", "wfpc"):
+        # a new instance object, so its compiled view is built afresh
+        inst = gen_decomposable(6, BlockSpec(n=4, d=1, rows=3, s=2), make_rng(7)).instance
+        runs.clear()
+        trace = pump.run(alg, inst, make_rng(1), max_iter=5000, record=False)
+        assert trace.found, alg
+        assert check_feasible(inst, trace.point, tol=1e-7)
+        assert len(runs) <= 2, alg
 
 
 def test_wfp_finds_and_pairs_stalls_with_perturbs():
