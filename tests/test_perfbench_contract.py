@@ -2,8 +2,9 @@
 
 perfbench/tracing.py and perfbench/workloads.py replace pumplab functions
 and methods by name (normalize and dense_rows in four modules, the pump
-entry points, the flip rules, pump.lift, the oracle constructors). A refactor that
-drops or renames one of them breaks the benchmark, and this test with it.
+entry points, the flip rules, pump.lift, the oracle constructors). A
+refactor that drops or renames one of them breaks the benchmark, and this
+test with it.
 """
 
 import importlib.util
