@@ -17,7 +17,6 @@ from .errors import (
     NonBinaryVector,
     NotACertificate,
     PumpLabError,
-    ScaleGuard,
     SolverFailure,
 )
 from .model import (
@@ -45,8 +44,6 @@ from .certificate import (
     CertificateOracle,
     ProjectedCertificate,
     cert_supp_bound,
-    min_certificate,
-    verify_minimal,
 )
 from .perturb import (
     DEFAULT_TT_RANGE,

@@ -247,10 +247,6 @@ class BenchResult:
     table: BenchTable
 
     @property
-    def csv_text(self) -> str:
-        return write_csv(self.rows)
-
-    @property
     def text(self) -> str:
         return self.table.render()
 
@@ -302,30 +298,6 @@ def write_csv(rows: Sequence[BenchRow], path=None, include_timing: bool = True) 
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     return text
-
-
-def read_csv(path_or_text: str) -> list[BenchRow]:
-    if "\n" in path_or_text:
-        text = path_or_text
-    else:
-        with open(path_or_text, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    rows = []
-    reader = csv.DictReader(io.StringIO(text))
-    for rec in reader:
-        rows.append(
-            BenchRow(
-                instance=rec["instance"],
-                algorithm=rec["algorithm"],
-                seed=int(rec["seed"]),
-                outcome=rec["outcome"],
-                iterations=int(rec["iterations"]),
-                perturbations=int(rec["perturbations"]),
-                restarts=int(rec["restarts"]),
-                wall_time_s=float(rec.get("wall_time_s", 0.0) or 0.0),
-            )
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------

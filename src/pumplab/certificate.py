@@ -13,26 +13,26 @@ support-minimal: a certificate supported on a strict subset would give a
 nontrivial null combination of the basis columns.
 
 By Farkas' lemma the converse holds too: when this LP has no solution of
-value above VIOLATION_TOL (or no solution at all, as when no combination cancels
+value above ROW_TOL (or no solution at all, as when no combination cancels
 the continuous columns or there are no rows), some y satisfies
-B y <= b - A x~, so x~ lifts to a point of P. NotACertificate is thus
-the test of whether a binary point lifts; the pump drivers take y from
-the projection of such a point.
+B y <= b - A x~ + ROW_TOL, so x~ lifts to a point of P. NotACertificate is
+thus the test of whether a binary point lifts, at the tolerance of the row
+test `CompiledInstance.violated_rows`; the pump drivers take y from the
+projection of such a point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional
 
 import numpy as np
 
-from .errors import NotACertificate, ScaleGuard
-from .lp import CompiledInstance, LpProblem, LpStatus, SimplexSolver
-from .model import MixedBinaryInstance, Sense, dense_rows, normalize
+from .errors import NotACertificate
+from .lp import ROW_TOL, CompiledInstance, LpProblem, LpStatus
+from .model import MixedBinaryInstance, Sense
+# perfbench/tracing.py wraps these two names in this module's namespace
+from .model import dense_rows, normalize  # noqa: F401
 
-VIOLATION_TOL = 1e-7
 _SUPP_EPS = 1e-12
 
 
@@ -69,11 +69,8 @@ class CertificateOracle:
 
     def __init__(self, instance: MixedBinaryInstance):
         self.instance = instance
-        view = CompiledInstance.of(instance)
-        self.norm = view.norm
-        self.A, self.B, self.b = view.A, view.B, view.b
-        self.m = self.norm.m
-        self.solver = view.solver(_lambda_problem)
+        self.view = CompiledInstance.of(instance)
+        self.solver = self.view.solver(_lambda_problem)
         # infeasible lambda-LP means no certificate can exist for any point
         self.possible = self.solver.ensure_phase1()
         self.cache: dict[bytes, ProjectedCertificate] = {}
@@ -86,17 +83,18 @@ class CertificateOracle:
             return hit
         if not self.possible:
             raise NotACertificate("no row combination cancels the continuous columns")
-        v = self.A @ x - self.b
+        view = self.view
+        v = view.A @ x - view.b
         sol = self.solver.resolve(v, maximize=True)
-        if sol.status is not LpStatus.OPTIMAL or sol.objective <= VIOLATION_TOL:
+        if sol.status is not LpStatus.OPTIMAL or sol.objective <= ROW_TOL:
             raise NotACertificate("the point lies in the binary projection")
         lam_vec = sol.x
         support = tuple(int(r) for r in np.flatnonzero(lam_vec > _SUPP_EPS))
         lam = {r: float(lam_vec[r]) for r in support}
-        a_vec = lam_vec @ self.A
+        a_vec = lam_vec @ view.A
         a = {int(j): float(a_vec[j]) for j in np.flatnonzero(np.abs(a_vec) > _SUPP_EPS)}
-        beta = float(lam_vec @ self.b)
-        origin = self.norm.row_origin
+        beta = float(lam_vec @ view.b)
+        origin = view.norm.row_origin
         cert = ProjectedCertificate(
             point=x.copy(),
             lam=lam,
@@ -108,11 +106,6 @@ class CertificateOracle:
         )
         self.cache[key] = cert
         return cert
-
-
-def min_certificate(instance: MixedBinaryInstance, x_bar) -> ProjectedCertificate:
-    """Support-minimal projected certificate refuting x_bar, or NotACertificate."""
-    return CertificateOracle(instance).min_certificate(x_bar)
 
 
 def cert_supp_bound(instance: MixedBinaryInstance) -> tuple[int, ...]:
@@ -131,34 +124,3 @@ def cert_supp_bound(instance: MixedBinaryInstance) -> tuple[int, ...]:
         n_i = len(blk.bin_idx)
         out.append(int(min(s * (d_i + 1), n_i)) if n_i else 0)
     return tuple(out)
-
-
-def verify_minimal(instance: MixedBinaryInstance, cert: ProjectedCertificate, tol: float = VIOLATION_TOL) -> bool:
-    """Brute-force check that no strict support subset certifies the point.
-
-    Solves the restricted combination LP for every proper nonempty subset of
-    the support. Guarded to small instances.
-    """
-    norm = normalize(instance)
-    if norm.m > 12:
-        raise ScaleGuard(f"brute-force minimality check capped at 12 rows, got {norm.m}")
-    A, B, _, b = dense_rows(norm)
-    x = cert.point
-    v = A @ x - b
-    d = instance.d
-    rows = cert.support_rows
-    for size in range(1, len(rows)):
-        for subset in combinations(rows, size):
-            idx = list(subset)
-            coeffs = np.vstack([B[idx].T, np.ones((1, len(idx)))])
-            problem = LpProblem(
-                coeffs=coeffs,
-                senses=[Sense.EQ] * (d + 1),
-                rhs=np.concatenate([np.zeros(d), [1.0]]),
-                lower=np.zeros(len(idx)),
-                upper=np.full(len(idx), np.inf),
-            )
-            sol = SimplexSolver(problem).resolve(v[idx], maximize=True)
-            if sol.status is LpStatus.OPTIMAL and sol.objective > tol:
-                return False
-    return True

@@ -12,6 +12,7 @@ in .mps) or by a builtin alias: "fractional-stall" and
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -56,6 +57,29 @@ def _at_least(lo: int):
 
     parse.__name__ = "int"     # argparse names the type in its messages
     return parse
+
+
+def _float_between(lo: float, hi: float):
+    """An argparse type: a float strictly between lo and hi."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not lo < value < hi:
+            raise argparse.ArgumentTypeError(f"must lie strictly between {lo:g} and {hi:g}, got {text}")
+        return value
+
+    parse.__name__ = "float"
+    return parse
+
+
+def _parse_algs(text: str) -> tuple[str, ...]:
+    """An argparse type: a comma list of algorithm names."""
+    algs = tuple(text.split(","))
+    unknown = [a for a in algs if a not in pump.ALGORITHMS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown algorithm {unknown[0]!r}; choose from {', '.join(pump.ALGORITHMS)}")
+    return algs
 
 
 def _parse_counts(text: str) -> tuple[int, ...]:
@@ -187,7 +211,7 @@ def cmd_bench(args) -> int:
         return 2
     cfg = benchmod.BenchConfig(
         instances=instances,
-        algorithms=tuple(args.algs.split(",")),
+        algorithms=args.algs,
         seeds=args.seeds,
         max_iter=args.max_iter,
         tt_range=args.tt,
@@ -270,12 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="sweep instances x algorithms x seeds")
     p.add_argument("--instances", nargs="*", help="instance files (overrides --family)")
     p.add_argument("--family", choices=["two-stage", "subset-sum"])
-    p.add_argument("--algs", default="orig,wfpbase", help="comma list")
+    p.add_argument("--algs", type=_parse_algs, default="orig,wfpbase", help="comma list")
     p.add_argument("--seeds", type=_parse_seeds, default="1..10", help="list 1,2,3 or range 1..10")
     p.add_argument("--max-iter", type=_at_least(0), default=400)
     p.add_argument("--flips", "--l", dest="flips", type=_at_least(1), default=2)
     p.add_argument("--tt", type=_parse_tt, default=DEFAULT_TT_RANGE, metavar="LO:HI")
-    p.add_argument("--time-limit", type=float, default=60.0)
+    p.add_argument("--time-limit", type=_float_between(0.0, math.inf), default=60.0)
     p.add_argument("--base-seed", type=_at_least(0), default=12345, help="instance generation seed")
     p.add_argument("--ks", type=_parse_counts, help="comma list of block or scenario counts")
     p.add_argument("--ps", type=_parse_counts, help="comma list of first-stage sizes (two-stage)")
@@ -285,17 +309,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows-per-scenario", type=positive, default=5)
     p.add_argument("--coeff-max", type=positive, default=20)
     p.add_argument("--csv", help="also write per-run rows to this path")
-    p.add_argument("--workers", type=int, help="worker processes (default: PUMPLAB_WORKERS or 1)")
+    p.add_argument("--workers", type=positive, help="worker processes (default: PUMPLAB_WORKERS or 1)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify-bounds", help="Monte Carlo check of the iteration bounds")
     p.add_argument("--theorem", required=True, choices=["1", "2", "5"])
     p.add_argument("--runs", type=_at_least(1), default=200)
-    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--delta", type=_float_between(0.0, 1.0), default=0.1)
     p.add_argument("--ks", "--k", dest="ks", type=_parse_counts, help="comma list of block counts")
     p.add_argument("--ns", "--n", dest="ns", type=_parse_counts, help="comma list of block sizes")
     p.add_argument("--base-seed", type=_at_least(0), default=0)
-    p.add_argument("--coeff-max", type=int, default=10)
+    p.add_argument("--coeff-max", type=positive, default=10)
     p.add_argument("--cap-limit", type=int, default=1_000_000)
     p.set_defaults(func=cmd_verify_bounds)
 

@@ -37,10 +37,6 @@ class EmptyCertificateSupport(PumpLabError):
     """A certificate row combination with no binary support cannot drive flips."""
 
 
-class ScaleGuard(PumpLabError):
-    """Brute-force verification was asked for an instance beyond its size guard."""
-
-
 class FormatError(PumpLabError):
     """Malformed instance text (native or MPS)."""
 

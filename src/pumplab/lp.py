@@ -69,6 +69,7 @@ from .model import MixedBinaryInstance, Sense, dense_rows, normalize
 
 FEAS_TOL = 1e-9      # phase-1 acceptance threshold
 COST_TOL = 1e-9      # reduced-cost optimality threshold
+ROW_TOL = 1e-9       # row slack of feasibility; certificates must violate by more
 PIVOT_TOL = 1e-8     # preferred minimum pivot magnitude
 DEGEN_TOL = 1e-12    # steps at or below this count as degenerate
 _REFRESH_EVERY = 200
@@ -80,7 +81,7 @@ class LpStatus(IntEnum):
     UNBOUNDED = 2
 
 
-# column status codes of SimplexSolver.vstat and LpSolution.col_status
+# column status codes of SimplexSolver.vstat
 BASIC, AT_LOWER, AT_UPPER, FREE = 0, 1, 2, 3
 
 _STATE_ARRAYS = ("T", "nonbasic", "slot", "rhs_col", "val", "vstat", "basis", "lower", "upper",
@@ -120,18 +121,12 @@ class LpProblem:
         if np.any(self.lower > self.upper):
             raise InvalidInstance("lower bound above upper bound")
 
-    @property
-    def nrows(self) -> int:
-        return self.rhs.size
-
 
 @dataclass
 class LpSolution:
     status: LpStatus
     x: Optional[np.ndarray]
     objective: Optional[float]
-    col_status: Optional[np.ndarray]
-    is_vertex: bool = False
 
 
 class SimplexSolver:
@@ -408,7 +403,7 @@ class SimplexSolver:
     def resolve(self, objective: np.ndarray, maximize: bool = False) -> LpSolution:
         """Phase 2 with a fresh objective over the structural columns."""
         if not self.ensure_phase1():
-            return LpSolution(LpStatus.INFEASIBLE, None, None, None)
+            return LpSolution(LpStatus.INFEASIBLE, None, None)
         c_user = np.asarray(objective, dtype=float).reshape(-1)
         if c_user.shape != (self.nstruct,):
             raise DimensionMismatch("objective length does not match column count")
@@ -416,10 +411,9 @@ class SimplexSolver:
         cost[: self.nstruct] = -c_user if maximize else c_user
         status = self._optimize(cost, phase1=False)
         x = self._snapped_x()
-        cstat = self.vstat[: self.nstruct].copy()
         if status is LpStatus.OPTIMAL:
-            return LpSolution(LpStatus.OPTIMAL, x, float(c_user @ x), cstat, is_vertex=True)
-        return LpSolution(LpStatus.UNBOUNDED, x, None, cstat, is_vertex=False)
+            return LpSolution(LpStatus.OPTIMAL, x, float(c_user @ x))
+        return LpSolution(LpStatus.UNBOUNDED, x, None)
 
     def _snapped_x(self) -> np.ndarray:
         x = self.val[: self.nstruct].copy()
@@ -435,9 +429,10 @@ class CompiledInstance:
     """One instance compiled for the LPs built on it.
 
     norm is the normalized instance and A (binary columns), B (continuous
-    columns) and b its dense rows, read-only. solver(build) returns a clone
-    of the solver of the LpProblem build(view) describes, after phase 1,
-    which runs when the first clone is asked for. Views come from `of`.
+    columns) and b its dense rows, read-only; `violated_rows` is the one
+    test of a point against them. solver(build) returns a clone of the
+    solver of the LpProblem build(view) describes, after phase 1, which
+    runs when the first clone is asked for. Views come from `of`.
     """
 
     _last: Optional["CompiledInstance"] = None
@@ -461,6 +456,13 @@ class CompiledInstance:
             cls._last = None       # let the old view go before building
             view = cls._last = cls(instance)
         return view
+
+    def violated_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Mask of the normalized rows that (x, y) violates by more than ROW_TOL."""
+        lhs = self.A @ x
+        if self.B.shape[1]:
+            lhs = lhs + self.B @ y
+        return lhs > self.b + ROW_TOL
 
     def solver(self, build) -> SimplexSolver:
         base = self._solvers.get(build)

@@ -118,18 +118,11 @@ def wfpbase_perturb(
         idx = positive[:tt]
         return PerturbOutcome(_flip(x_tilde, idx), tuple(int(j) for j in sorted(idx)), "wfpbase", tt)
     view = CompiledInstance.of(instance)
-    A, B, b = view.A, view.B, view.b
     x = np.asarray(x_tilde, dtype=float).reshape(-1)
-    lhs = A @ x if A.size else np.zeros(len(b))
-    if B.size:
-        lhs = lhs + B @ np.asarray(y_bar, dtype=float).reshape(-1)
-    violated = np.flatnonzero(lhs > b + 1e-9)
-    s_union: set[int] = set()
-    for r in violated:
-        s_union.update(int(j) for j in np.flatnonzero(A[r]))
-    s_sorted = np.array(sorted(s_union), dtype=np.int64)
-    k = min(s_sorted.size, tt - positive.size)
-    extra = rng.choice(s_sorted, size=k, replace=False) if k else np.zeros(0, dtype=np.int64)
+    y = np.asarray(y_bar, dtype=float).reshape(-1)
+    s_union = np.flatnonzero(view.A[view.violated_rows(x, y)].any(axis=0))
+    k = min(s_union.size, tt - positive.size)
+    extra = rng.choice(s_union, size=k, replace=False) if k else np.zeros(0, dtype=np.int64)
     chosen = sorted(set(int(j) for j in positive) | set(int(j) for j in extra))
     return PerturbOutcome(_flip(x_tilde, chosen), tuple(chosen), "wfpbase", tt)
 

@@ -82,11 +82,9 @@ class ProjectionOracle:
 
     def __init__(self, instance: MixedBinaryInstance):
         self.instance = instance
-        view = CompiledInstance.of(instance)
-        self.norm = view.norm
-        self.A, self.B, self.b = view.A, view.B, view.b
+        self.view = CompiledInstance.of(instance)
         self.n, self.d = instance.n, instance.d
-        self.solver = view.solver(_projection_problem)
+        self.solver = self.view.solver(_projection_problem)
         if not self.solver.ensure_phase1():
             raise InstanceInfeasible(f"instance {instance.name!r} has an empty relaxation")
         self.cache: dict[bytes, ProjectionEntry] = {}
@@ -128,11 +126,8 @@ class ProjectionOracle:
         return entry
 
     def pair_feasible(self, x, y) -> bool:
-        """(x, y) satisfies every normalized row to within 1e-9."""
-        lhs = self.A @ x if self.norm.m else np.zeros(0)
-        if self.d:
-            lhs = lhs + self.B @ y
-        return not (lhs > self.b + 1e-9).any()
+        """(x, y) violates no normalized row (CompiledInstance.violated_rows)."""
+        return not self.view.violated_rows(x, y).any()
 
 
 def alt_proj_star(oracle: ProjectionOracle, x_tilde) -> tuple[np.ndarray, ProjectionEntry]:

@@ -10,8 +10,10 @@ The certificate variants (wfp's stall rule, run_mb_walksat and
 run_wfp_compressed) ask the certificate oracle about their binary point
 first and perturb on the certificate it returns. NotACertificate means,
 by Farkas' lemma, that the point lies in the binary projection of P, so
-they return lift(oracle, x): the point with the y of its own projection.
-No other test of whether a point lifts is made.
+the two walks return lift(oracle, x): the point with the y of its own
+projection. No other test of whether a point lifts is made. wfp's stalled
+point has just failed the row test with that same y, so it always has a
+certificate, and NotACertificate there propagates as an error.
 
 run() starts a variant by its name in ALGORITHMS. The run_* functions,
 the flip rules and lift are looked up in this module's namespace when
@@ -119,8 +121,8 @@ def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, rec
 
     stall: on a repeat of the previous rounded point, nothing (None),
     fractionality flips ("original", "original-zf"), l flips in a minimal
-    certificate's support ("certificate"; a point with no certificate is
-    lifted and returned) or the hybrid rule ("wfpbase").
+    certificate's support ("certificate", with accept_rounded) or the
+    hybrid rule ("wfpbase").
     revisit: on a repeat of an older rounded point, nothing (None), file
     the first one into trace.cycle ("classify") or restart from it with a
     fresh visited set ("restart").
@@ -167,11 +169,7 @@ def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, rec
                 else:
                     if certs is None:
                         certs = CertificateOracle(instance)
-                    try:
-                        cert = certs.min_certificate(nxt.astype(float))
-                    except NotACertificate:
-                        return _found(trace, t, lift(oracle, nxt), record)
-                    out = perturb_l(nxt, cert, l, rng)
+                    out = perturb_l(nxt, certs.min_certificate(nxt.astype(float)), l, rng)
                 trace.perturbations += 1
                 if record:
                     records.append(TraceRecord(t, "perturb", out.kind, out.flipped))

@@ -2,14 +2,17 @@
 
 Everything here is deliberately naive: enumeration over binary
 assignments, enumeration over basis subsets, Fourier-Motzkin
-elimination. Slow but obviously correct at the sizes used. The last two
-helpers write out the paper's definitions of the l1 norm and of a
-stalling point.
+elimination, one LP per support subset of a certificate. Slow but
+obviously correct at the sizes used. The last two helpers write out the
+paper's definitions of the l1 norm and of a stalling point.
 """
 
 import itertools
 
 import numpy as np
+
+from pumplab.lp import ROW_TOL, LpProblem, LpStatus, SimplexSolver
+from pumplab.model import Sense, dense_rows, normalize
 
 # 0.999 chi-square quantiles by degrees of freedom ("p > 0.001" tests)
 CHI2_Q999 = {
@@ -160,6 +163,35 @@ def lift_exists(A, B, b, x_bar):
     if B is None or np.asarray(B).size == 0:
         return bool((resid >= -1e-9).all())
     return fm_feasible(np.atleast_2d(B), resid)
+
+
+def verify_minimal(instance, cert, tol=ROW_TOL):
+    """Brute-force check that no strict support subset certifies the point.
+
+    Solves the restricted combination LP for every proper nonempty subset
+    of the support. Guarded to instances of at most 12 normalized rows.
+    """
+    norm = normalize(instance)
+    if norm.m > 12:
+        raise ValueError(f"brute-force minimality check capped at 12 rows, got {norm.m}")
+    A, B, _, b = dense_rows(norm)
+    v = A @ cert.point - b
+    d = instance.d
+    rows = cert.support_rows
+    for size in range(1, len(rows)):
+        for subset in itertools.combinations(rows, size):
+            idx = list(subset)
+            problem = LpProblem(
+                coeffs=np.vstack([B[idx].T, np.ones((1, len(idx)))]),
+                senses=[Sense.EQ] * (d + 1),
+                rhs=np.concatenate([np.zeros(d), [1.0]]),
+                lower=np.zeros(len(idx)),
+                upper=np.full(len(idx), np.inf),
+            )
+            sol = SimplexSolver(problem).resolve(v[idx], maximize=True)
+            if sol.status is LpStatus.OPTIMAL and sol.objective > tol:
+                return False
+    return True
 
 
 def norm1(v):

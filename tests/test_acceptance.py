@@ -9,7 +9,7 @@ the Monte Carlo bound checks.
 import numpy as np
 import pytest
 
-from oracles import enum_box_lp
+from oracles import enum_box_lp, verify_minimal
 from pumplab.bench import (
     BenchConfig,
     run_benchmark,
@@ -19,7 +19,7 @@ from pumplab.bench import (
     two_stage_suite,
     write_csv,
 )
-from pumplab.certificate import CertificateOracle, verify_minimal
+from pumplab.certificate import CertificateOracle
 from pumplab.errors import NotACertificate
 from pumplab.gen import (
     BlockSpec,

@@ -94,10 +94,21 @@ def test_bad_flip_settings_are_argument_errors(capsys, argv):
     ["bench", "--instances", os.path.join(DATA, "fractional_stall.pl"), "--algs", "orig",
      "--seeds=-2..-1"],
     ["verify-bounds", "--theorem", "1", "--runs", "0"],
+    ["verify-bounds", "--theorem", "1", "--delta", "0"],
+    ["verify-bounds", "--theorem", "1", "--delta", "1.5"],
+    ["verify-bounds", "--theorem", "1", "--coeff-max", "0"],
+    ["bench", "--instances", os.path.join(DATA, "fractional_stall.pl"), "--algs", "orig,bogus",
+     "--seeds", "1"],
+    ["bench", "--instances", os.path.join(DATA, "fractional_stall.pl"), "--algs", "orig",
+     "--seeds", "1", "--time-limit", "-1"],
+    ["bench", "--instances", os.path.join(DATA, "fractional_stall.pl"), "--algs", "orig",
+     "--seeds", "1", "--workers", "-2"],
 ])
 def test_bad_inputs_fail_cleanly(capsys, argv):
     # without the checks these raised a traceback, printed "iterations: -3"
-    # for a negative --max-iter, or ran a misspelt alias as zero-frac-stall:3
+    # for a negative --max-iter, ran a misspelt alias as zero-frac-stall:3,
+    # marked every run timeout for a negative --time-limit or ran a
+    # negative --workers serially
     try:
         rc = main(argv)
     except SystemExit as e:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import CHI2_Q999
-from pumplab.certificate import ProjectedCertificate, min_certificate
+from pumplab.certificate import CertificateOracle, ProjectedCertificate
 from pumplab.errors import EmptyCertificateSupport
 from pumplab.gen import fractional_stall_instance
 from pumplab.perturb import (
@@ -73,7 +73,7 @@ def test_perturb_l_single_draw_is_uniform():
 def test_perturb_l_pair_draw_distribution():
     # two independent draws from {0, 1}: {0} w.p. 1/4, {1} w.p. 1/4, both 1/2
     inst = fractional_stall_instance()
-    cert = min_certificate(inst, [1.0, 1.0])
+    cert = CertificateOracle(inst).min_certificate([1.0, 1.0])
     x = np.array([1, 1], dtype=np.int8)
     rng = make_rng(2)
     trials = 10_000

@@ -133,6 +133,17 @@ def test_walksat_start_must_be_binary():
             run_mb_walksat(inst, 1, start=start, rng=make_rng(0))
 
 
+def test_walk_lifts_a_point_just_inside_a_row():
+    # x1 + x2 <= 1 - 5e-8: [1, 0] misses the row by 5e-8, more than the row
+    # test allows, so it must get a certificate and not a failed lift
+    rows = (LinearRow({0: 1.0, 1: 1.0}, {}, Sense.LE, 1.0 - 5e-8),)
+    inst = MixedBinaryInstance(name="gap", n=2, d=0, rows=rows)
+    trace = run_mb_walksat(inst, 1, start=[1, 0], rng=make_rng(0))
+    assert trace.found
+    np.testing.assert_array_equal(trace.point.x, [0, 0])
+    assert check_feasible(inst, trace.point)
+
+
 @pytest.mark.parametrize("d", [0, 1])
 def test_zero_row_instances_are_found_by_every_variant(d):
     # no rows: no combination can certify anything, and every point lifts

@@ -28,6 +28,20 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
 
+def directions() -> dict:
+    """Which way is better ("higher" or "lower") for each end-to-end
+    metric of BENCHMARK.json."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+
+def _pair_count(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 pairs for quartiles, got {value}")
+    return value
+
+
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -65,13 +79,12 @@ def main(argv=None) -> int:
     ap.add_argument("--change", default=ROOT, help="source tree of the change")
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=_pair_count, default=10)
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    better = directions()
     report = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
