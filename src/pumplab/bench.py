@@ -97,6 +97,8 @@ class BenchConfig:
             raise ValueError(f"bad TT range {self.tt_range!r}: need 0 <= lo <= hi")
         if self.flips < 1:
             raise ValueError(f"flips must be at least 1, got {self.flips}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be at least 0, got {self.max_iter}")
         names = [inst.name for inst in self.instances]
         if len(set(names)) != len(names):
             raise ValueError("instance names must be unique within a benchmark")

@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", "--n", dest="ns", type=_parse_counts, help="comma list of block sizes")
     p.add_argument("--base-seed", type=_at_least(0), default=0)
     p.add_argument("--coeff-max", type=positive, default=10)
-    p.add_argument("--cap-limit", type=int, default=1_000_000)
+    p.add_argument("--cap-limit", type=positive, default=1_000_000)
     p.set_defaults(func=cmd_verify_bounds)
 
     return ap

@@ -5,6 +5,12 @@ All randomness flows through numpy Generators passed in by the caller
 Each rule documents exactly how many draws it consumes; the hybrid rule
 deliberately consumes the same draws as the original rule whenever
 TT <= |F| so traces of the two coincide on such runs.
+
+The two fractionality rules draw TT themselves (one draw, _draw_tt)
+unless the caller passes it as tt, in which case they draw nothing. The
+pump loop draws TT itself at each "original" or "original-zf" stall, in
+the same place in the draw order, and memoizes the rule's outcome per
+(stalled point, TT): given both, the outcome is a pure function.
 """
 
 from __future__ import annotations
@@ -77,22 +83,28 @@ def _by_fractionality(f: np.ndarray) -> np.ndarray:
     return np.argsort(-f, kind="stable")
 
 
-def original_perturb(x_tilde, x_bar, rng, tt_range=DEFAULT_TT_RANGE) -> PerturbOutcome:
+def original_perturb(x_tilde, x_bar, rng, tt_range=DEFAULT_TT_RANGE,
+                     tt: Optional[int] = None) -> PerturbOutcome:
     """Flip the min(TT, NN) most fractional coordinates, TT uniform in the
-    range, NN the number of strictly fractional ones."""
+    range (or tt when given, with no draw), NN the number of strictly
+    fractional ones."""
     f = _fractionality(x_tilde, x_bar)
-    tt = _draw_tt(rng, tt_range)
+    if tt is None:
+        tt = _draw_tt(rng, tt_range)
     order = _by_fractionality(f)
     positive = order[f[order] > FRAC_TOL]
     idx = positive[: min(tt, positive.size)]
     return PerturbOutcome(_flip(x_tilde, idx), tuple(int(j) for j in sorted(idx)), "original", tt)
 
 
-def original_perturb_zero_frac(x_tilde, x_bar, rng, tt_range=DEFAULT_TT_RANGE) -> PerturbOutcome:
+def original_perturb_zero_frac(x_tilde, x_bar, rng, tt_range=DEFAULT_TT_RANGE,
+                               tt: Optional[int] = None) -> PerturbOutcome:
     """Variant that ranks all coordinates, zero fractionality included: flips
-    exactly min(TT, n) of them in (fractionality desc, index asc) order."""
+    exactly min(TT, n) of them in (fractionality desc, index asc) order;
+    TT as in original_perturb."""
     f = _fractionality(x_tilde, x_bar)
-    tt = _draw_tt(rng, tt_range)
+    if tt is None:
+        tt = _draw_tt(rng, tt_range)
     order = _by_fractionality(f)
     idx = order[: min(tt, order.size)]
     return PerturbOutcome(_flip(x_tilde, idx), tuple(int(j) for j in sorted(idx)), "original-zf", tt)

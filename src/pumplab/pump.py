@@ -17,7 +17,8 @@ certificate, and NotACertificate there propagates as an error.
 
 run() starts a variant by its name in ALGORITHMS. The run_* functions,
 the flip rules and lift are looked up in this module's namespace when
-they are called, so a wrapper installed on the module sees every call.
+they are called, so a wrapper installed on the module sees every call
+(a fractionality stall answered from the run's flip memo makes none).
 
 Every driver returns a PumpTrace; `iterations` counts projection steps
 (perturbation rounds for the walk driver), and Found outcomes carry a
@@ -37,6 +38,8 @@ from .errors import NotACertificate, SolverFailure
 from .model import MixedBinaryInstance, MixedPoint
 from .perturb import (
     DEFAULT_TT_RANGE,
+    PerturbOutcome,
+    _draw_tt,
     original_perturb,
     original_perturb_zero_frac,
     perturb_l,
@@ -123,6 +126,11 @@ def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, rec
     fractionality flips ("original", "original-zf"), l flips in a minimal
     certificate's support ("certificate", with accept_rounded) or the
     hybrid rule ("wfpbase").
+    At a fractionality stall the loop draws TT itself (one _draw_tt draw,
+    where the rule used to make it) and memoizes the rule's outcome per
+    run, keyed by (stalled point, TT). The stalled point is the rounding
+    of its own memoized projection, so the outcome is a pure function of
+    that key; a hit calls no rule.
     revisit: on a repeat of an older rounded point, nothing (None), file
     the first one into trace.cycle ("classify") or restart from it with a
     fresh visited set ("restart").
@@ -142,6 +150,7 @@ def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, rec
     prev_key = cur.tobytes()
     visited = {prev_key: 0}
     certs: Optional[CertificateOracle] = None
+    flips: dict[tuple[bytes, int], PerturbOutcome] = {}
     for t in range(1, max_iter + 1):
         e = oracle.entry(cur)
         if record:
@@ -160,10 +169,12 @@ def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, rec
             if record:
                 records.append(TraceRecord(t, "stall"))
             if stall is not None:
-                if stall == "original":
-                    out = original_perturb(nxt, e.x_bar, rng, tt_range)
-                elif stall == "original-zf":
-                    out = original_perturb_zero_frac(nxt, e.x_bar, rng, tt_range)
+                if stall in ("original", "original-zf"):
+                    tt = _draw_tt(rng, tt_range)
+                    out = flips.get((new_key, tt))
+                    if out is None:
+                        rule = original_perturb if stall == "original" else original_perturb_zero_frac
+                        out = flips[new_key, tt] = rule(nxt, e.x_bar, rng, tt_range, tt=tt)
                 elif stall == "wfpbase":
                     out = wfpbase_perturb(nxt, e.x_bar, e.y_bar, instance, rng, tt_range)
                 else:
@@ -338,7 +349,9 @@ def run(alg: str, instance: MixedBinaryInstance, rng: np.random.Generator, *, ma
         flips: int = 2, tt_range=DEFAULT_TT_RANGE, record: bool = True) -> PumpTrace:
     """Run the variant named alg. flips is l for the certificate variants;
     tt_range is the flip-count range of the fractionality rules. naive
-    draws nothing from rng."""
+    draws nothing from rng. A negative max_iter raises ValueError."""
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0, got {max_iter}")
     return ALGORITHMS[alg](instance, rng, max_iter, flips, tt_range, record)
 
 

@@ -76,6 +76,9 @@ def test_config_validation():
         BenchConfig(insts, algorithms=("wfp", "mystery"))
     with pytest.raises(ValueError):
         BenchConfig(insts + [fractional_stall_instance()])
+    with pytest.raises(ValueError, match="max_iter"):
+        BenchConfig(insts, max_iter=-5)
+    assert BenchConfig(insts, max_iter=0).max_iter == 0
     assert set(BenchConfig(insts).algorithms) <= set(KNOWN_ALGORITHMS)
 
 

@@ -103,12 +103,15 @@ def test_bad_flip_settings_are_argument_errors(capsys, argv):
      "--seeds", "1", "--time-limit", "-1"],
     ["bench", "--instances", os.path.join(DATA, "fractional_stall.pl"), "--algs", "orig",
      "--seeds", "1", "--workers", "-2"],
+    ["verify-bounds", "--theorem", "1", "--runs", "2", "--cap-limit", "-5", "--ks", "1", "--ns", "2"],
+    ["verify-bounds", "--theorem", "1", "--runs", "2", "--cap-limit", "0", "--ks", "1", "--ns", "2"],
 ])
 def test_bad_inputs_fail_cleanly(capsys, argv):
     # without the checks these raised a traceback, printed "iterations: -3"
     # for a negative --max-iter, ran a misspelt alias as zero-frac-stall:3,
-    # marked every run timeout for a negative --time-limit or ran a
-    # negative --workers serially
+    # marked every run timeout for a negative --time-limit, ran a
+    # negative --workers serially or ran every walk with a --cap-limit of
+    # -5 and printed FAIL
     try:
         rc = main(argv)
     except SystemExit as e:

@@ -105,6 +105,27 @@ def test_zero_frac_variant_ranks_every_coordinate():
     assert out.flipped == (0, 1, 2, 3, 4)
 
 
+@pytest.mark.parametrize("rule", [original_perturb, original_perturb_zero_frac])
+def test_given_tt_draws_nothing_and_matches_the_drawn_tt(rule):
+    x = np.array([0, 1, 0, 1, 0, 1], dtype=np.int8)
+    x_bar = np.array([0.2, 0.8, 0.0, 1.0, 0.5, 0.7])
+    drawn = {}
+    for seed in range(60):
+        out = rule(x, x_bar, make_rng(seed), tt_range=(0, 7))
+        drawn.setdefault(out.tt, out)
+    assert sorted(drawn) == list(range(8))
+    for k, want in drawn.items():
+        rng = make_rng(99)
+        state = rng.bit_generator.state
+        # a bad range is not even read when tt is given
+        got = rule(x, x_bar, rng, tt_range=(5, 1), tt=k)
+        assert rng.bit_generator.state == state
+        assert (got.flipped, got.kind, got.tt) == (want.flipped, want.kind, k)
+        np.testing.assert_array_equal(got.x_new, want.x_new)
+    with pytest.raises(ValueError, match="bad TT range"):
+        rule(x, x_bar, make_rng(0), tt_range=(5, 1))
+
+
 def test_original_never_flips_integral_coordinates():
     rng = make_rng(3)
     for trial in range(60):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,85 @@ def test_zero_frac_rule_trapped_when_tt_capped():
         trace = run_original_fp(inst, 150, make_rng(seed),
                                 zero_frac_flips=True, tt_range=(1, 2))
         assert trace.outcome == "iter_limit"
+
+
+# The first 16 hex digits of sha256("\n".join(trace.to_lines())) and the
+# next rng.integers(2**62) draw after pump.run(alg, instance, make_rng(seed),
+# max_iter=2000, record=True, tt_range=tt) for seeds 0, 1 and 2. Every run
+# stalls 1,000 times on a few points and so revisits (point, TT) pairs.
+LONG_STALL_TRACES = {
+    ("orig", "fractional-stall", None): (
+        ("6c17a60623f0b5d3", 375039330167198385),
+        ("6c17a60623f0b5d3", 1944303230920893569),
+        ("6c17a60623f0b5d3", 3193062919734938308),
+    ),
+    ("origzf", "zero-frac-stall-3", (1, 3)): (
+        ("f9b49a774cd063a5", 375039330167198385),
+        ("a403a31f76c8807f", 1944303230920893569),
+        ("9d2ad149e0d9eaaf", 3193062919734938308),
+    ),
+    ("origzf", "zero-frac-stall-6", (1, 6)): (
+        ("44761b2c3a31cd15", 375039330167198385),
+        ("5804a69a1762844f", 1944303230920893569),
+        ("3e72d865023efbd1", 3193062919734938308),
+    ),
+}
+
+
+def trap(name):
+    if name == "fractional-stall":
+        return fractional_stall_instance()
+    return zero_frac_stall_instance(int(name.rsplit("-", 1)[1]))
+
+
+@pytest.mark.parametrize("alg,name,tt", sorted(LONG_STALL_TRACES, key=str))
+def test_long_stalled_traces_are_pinned(alg, name, tt):
+    inst = trap(name)
+    kw = {} if tt is None else {"tt_range": tt}
+    for seed, want in enumerate(LONG_STALL_TRACES[(alg, name, tt)]):
+        rng = make_rng(seed)
+        trace = pump.run(alg, inst, rng, max_iter=2000, record=True, **kw)
+        assert trace.perturbations == 1000
+        digest = hashlib.sha256("\n".join(trace.to_lines()).encode()).hexdigest()[:16]
+        assert (digest, int(rng.integers(1 << 62))) == want, seed
+
+
+@pytest.mark.parametrize("alg,rule,name,tt", [
+    ("orig", "original_perturb", "fractional-stall", (10, 30)),
+    ("origzf", "original_perturb_zero_frac", "zero-frac-stall-3", (1, 3)),
+])
+def test_fractionality_stalls_rank_each_point_and_tt_once(monkeypatch, alg, rule, name, tt):
+    # a stall whose (point, TT) was seen before in the run is a memo hit
+    # and calls no rule
+    keys = []
+    real = getattr(pump, rule)
+
+    def spy(x_tilde, x_bar, rng, tt_range, tt=None):
+        keys.append((x_tilde.tobytes(), tt))
+        return real(x_tilde, x_bar, rng, tt_range, tt=tt)
+
+    monkeypatch.setattr(pump, rule, spy)
+    trace = pump.run(alg, trap(name), make_rng(0), max_iter=2000, tt_range=tt, record=False)
+    assert trace.perturbations == 1000
+    assert len(set(keys)) == len(keys) < 100
+
+
+@pytest.mark.parametrize("alg", ["orig", "origzf"])
+@pytest.mark.parametrize("tt_range", [(5, 1), (-1, 3)])
+def test_bad_tt_range_raises_at_the_first_stall(alg, tt_range):
+    inst = fractional_stall_instance()
+    # fractional-stall first stalls at t = 1, so a run of 0 iterations draws nothing
+    assert pump.run(alg, inst, make_rng(0), max_iter=0, tt_range=tt_range).perturbations == 0
+    with pytest.raises(ValueError, match="bad TT range"):
+        pump.run(alg, inst, make_rng(0), max_iter=1, tt_range=tt_range)
+
+
+@pytest.mark.parametrize("alg", sorted(pump.ALGORITHMS))
+def test_run_rejects_a_negative_iteration_cap(alg):
+    # orig, wfp and mbwalksat used to return iter_limit with iterations == -5
+    with pytest.raises(ValueError, match="max_iter"):
+        pump.run(alg, fractional_stall_instance(), make_rng(0), max_iter=-5)
+    assert pump.run(alg, fractional_stall_instance(), make_rng(0), max_iter=0).iterations == 0
 
 
 def test_walksat_driver_reaches_feasibility():
