@@ -69,10 +69,14 @@ def shifted_geomean(values, shift: float = 1.0) -> float:
 
 
 def _default_workers() -> int:
+    raw = os.environ.get("PUMPLAB_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("PUMPLAB_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"PUMPLAB_WORKERS must be a positive integer, got {raw!r}")
+    return workers
 
 
 @dataclass
@@ -99,6 +103,8 @@ class BenchConfig:
             raise ValueError(f"flips must be at least 1, got {self.flips}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be at least 0, got {self.max_iter}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
         names = [inst.name for inst in self.instances]
         if len(set(names)) != len(names):
             raise ValueError("instance names must be unique within a benchmark")

@@ -209,16 +209,21 @@ def cmd_bench(args) -> int:
     else:
         print("bench needs --instances or --family", file=sys.stderr)
         return 2
-    cfg = benchmod.BenchConfig(
-        instances=instances,
-        algorithms=args.algs,
-        seeds=args.seeds,
-        max_iter=args.max_iter,
-        tt_range=args.tt,
-        flips=args.flips,
-        time_limit=args.time_limit,
-        **({"workers": args.workers} if args.workers else {}),
-    )
+    try:
+        cfg = benchmod.BenchConfig(
+            instances=instances,
+            algorithms=args.algs,
+            seeds=args.seeds,
+            max_iter=args.max_iter,
+            tt_range=args.tt,
+            flips=args.flips,
+            time_limit=args.time_limit,
+            **({"workers": args.workers} if args.workers else {}),
+        )
+    except ValueError as exc:
+        # PUMPLAB_WORKERS is read here, when --workers is not given
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     result = benchmod.run_benchmark(cfg)
     sys.stdout.write(result.text)
     if args.csv:

@@ -49,8 +49,23 @@ rows where the pivot column is nonzero when fewer than a quarter of the
 rows are, and the whole matrix otherwise, where gathering and scattering
 most rows costs more than updating all of them.
 
+Pricing state: the solver keeps, beside vstat, what pricing and the
+ratio test read, so no round re-derives it. `fixed` marks the variables
+with equal bounds; `price_up` is -1 where a variable may increase (at
+its lower bound or free) and `price_dn` is +1 where it may decrease (at
+its upper bound or free), both 0 for basic and fixed variables; and
+`basic_lower`/`basic_upper` are the bounds of the basic variables, row
+by row. They are computed from vstat, the bounds and the basis when the
+solver is built and when the artificials are dropped; afterwards a pivot
+updates only the entries of the entering and leaving variables and of
+the pivot row, and a bound flip only the entry of the flipped variable.
+`clone` copies them with the other state arrays. The score of a column
+is max(price_up * d, price_dn * d): the violation -d or d where the
+column may move that way, +-0 elsewhere.
+
 Determinism: entering column is the most violating reduced cost with ties
-to the smallest index (plain argmax), leaving row is the smallest basis
+to the smallest index (plain argmax; a score is a positive violation or
++-0, and the two zeros compare equal), leaving row is the smallest basis
 index among minimum-ratio rows with an acceptable pivot magnitude, and a
 Bland fallback takes over after a run of degenerate steps.
 """
@@ -58,6 +73,7 @@ Bland fallback takes over after a run of degenerate steps.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Sequence
@@ -85,7 +101,7 @@ class LpStatus(IntEnum):
 BASIC, AT_LOWER, AT_UPPER, FREE = 0, 1, 2, 3
 
 _STATE_ARRAYS = ("T", "nonbasic", "slot", "rhs_col", "val", "vstat", "basis", "lower", "upper",
-                 "phase1_cost")
+                 "phase1_cost", "fixed", "price_up", "price_dn", "basic_lower", "basic_upper")
 
 
 @dataclass
@@ -174,6 +190,7 @@ class SimplexSolver:
         self.slot = np.full(N, -1, dtype=np.int64)
         self.slot[self.nonbasic] = np.arange(self.nonbasic.size)
         self.T = np.ascontiguousarray(wide[:, self.nonbasic])
+        self._price_state()
 
     def clone(self) -> "SimplexSolver":
         """An independent solver in this one's state: every array copied,
@@ -218,6 +235,17 @@ class SimplexSolver:
         upper[art] = np.where(pos, np.inf, 0.0)
         self.phase1_cost[art] = np.where(pos, 1.0, -1.0)
 
+    def _price_state(self):
+        # the pricing state, rebuilt from vstat, the bounds and the basis;
+        # _optimize keeps it up to date at each pivot and bound flip
+        vstat = self.vstat
+        self.fixed = self.lower == self.upper
+        priced = (vstat != BASIC) & ~self.fixed
+        self.price_up = np.where(priced & ((vstat == AT_LOWER) | (vstat == FREE)), -1.0, 0.0)
+        self.price_dn = np.where(priced & ((vstat == AT_UPPER) | (vstat == FREE)), 1.0, 0.0)
+        self.basic_lower = self.lower[self.basis]
+        self.basic_upper = self.upper[self.basis]
+
     # -- core ----------------------------------------------------------------
 
     def _refresh(self, cost: np.ndarray) -> np.ndarray:
@@ -242,24 +270,25 @@ class SimplexSolver:
         T, val, vstat, basis = self.T, self.val, self.vstat, self.basis
         nonbasic, slot = self.nonbasic, self.slot
         lower, upper, rhs_col = self.lower, self.upper, self.rhs_col
+        fixed, up, dn = self.fixed, self.price_up, self.price_dn
+        blo, bup = self.basic_lower, self.basic_upper
         d = self._refresh(cost)
         max_pivots = 10000 + 200 * (m + n)
         pivots = 0
-        fixed = lower == upper     # bounds do not change inside one optimize
+        limits = np.empty(m)
         while True:
             if self._since_refresh >= _REFRESH_EVERY:
                 d = self._refresh(cost)
-            can_up = (vstat == AT_LOWER) | (vstat == FREE)
-            can_dn = (vstat == AT_UPPER) | (vstat == FREE)
-            score = np.maximum(np.where(can_up, -d, 0.0), np.where(can_dn, d, 0.0))
-            score[fixed | (vstat == BASIC)] = 0.0
+            # -d where j may increase, d where it may decrease, and +-0
+            # where it may not move
+            score = np.maximum(up * d, dn * d)
             if self._bland:
-                viol = np.flatnonzero(score > COST_TOL)
+                viol = (score > COST_TOL).nonzero()[0]
                 if viol.size == 0:
                     return LpStatus.OPTIMAL
                 j = int(viol[0])
             else:
-                j = int(np.argmax(score))
+                j = int(score.argmax())
                 if score[j] <= COST_TOL:
                     return LpStatus.OPTIMAL
             st = int(vstat[j])
@@ -276,18 +305,16 @@ class SimplexSolver:
             if m:
                 vb = val[basis]
                 size = np.abs(delta)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    limits = np.where(delta > 0, vb - lower[basis], upper[basis] - vb) / size
-                limits[size <= 1e-11] = np.inf
+                limits.fill(np.inf)
+                np.divide(np.where(delta > 0, vb - blo, bup - vb), size, out=limits, where=size > 1e-11)
                 np.maximum(limits, 0.0, out=limits)
                 t_row = float(limits.min())
             else:
-                limits = np.zeros(0)
                 t_row = np.inf
             rng_j = upper[j] - lower[j]
-            t_bnd = rng_j if np.isfinite(rng_j) else np.inf
+            t_bnd = rng_j if math.isfinite(rng_j) else math.inf
             t = min(t_row, t_bnd)
-            if not np.isfinite(t):
+            if not math.isfinite(t):
                 if phase1:
                     raise SolverFailure("phase 1 claims an unbounded direction")
                 return LpStatus.UNBOUNDED
@@ -302,24 +329,28 @@ class SimplexSolver:
             if t_bnd <= t_row:
                 # bound flip: no basis change
                 if m:
-                    val[basis] -= t_bnd * delta
-                val[j] = upper[j] if st == AT_LOWER else lower[j]
-                vstat[j] = AT_UPPER if st == AT_LOWER else AT_LOWER
-            else:
-                cands = np.flatnonzero(limits <= t + DEGEN_TOL)
-                good = cands[np.abs(delta[cands]) >= PIVOT_TOL]
-                if good.size:
-                    r = int(good[np.argmin(basis[good])])
+                    val[basis] = vb - t_bnd * delta
+                if st == AT_LOWER:
+                    val[j], vstat[j], up[j], dn[j] = upper[j], AT_UPPER, 0.0, 1.0
                 else:
-                    r = int(cands[np.argmax(np.abs(delta[cands]))])
+                    val[j], vstat[j], up[j], dn[j] = lower[j], AT_LOWER, -1.0, 0.0
+            else:
+                cands = (limits <= t + DEGEN_TOL).nonzero()[0]
+                good = cands[size[cands] >= PIVOT_TOL]
+                if good.size:
+                    r = int(good[basis[good].argmin()])
+                else:
+                    r = int(cands[size[cands].argmax()])
                 step = sigma * t
-                val[basis] -= step * col
+                val[basis] = vb - step * col
                 val[j] += step
                 k = int(basis[r])
                 if delta[r] > 0:
                     val[k], vstat[k] = lower[k], AT_LOWER
+                    up[k], dn[k] = (0.0, 0.0) if fixed[k] else (-1.0, 0.0)
                 else:
                     val[k], vstat[k] = upper[k], AT_UPPER
+                    up[k], dn[k] = (0.0, 0.0) if fixed[k] else (0.0, 1.0)
                 piv = col[r]
                 if lower[k] == 0.0 == upper[k]:
                     # k never enters again: move the last slot into j's
@@ -339,17 +370,19 @@ class SimplexSolver:
                 col[r] = 0.0
                 T[r] /= piv
                 rhs_col[r] /= piv
-                rows = np.flatnonzero(col)
+                rows = col.nonzero()[0]
                 if 4 * rows.size < m:
-                    T[rows] -= np.outer(col[rows], T[r])
+                    T[rows] -= col[rows, None] * T[r]
                 else:
-                    T -= np.outer(col, T[r])
+                    T -= col[:, None] * T[r]
                 rhs_col -= col * rhs_col[r]
                 dj = d[j]
                 d[nonbasic] -= dj * T[r]
                 d[j] = 0.0
                 basis[r] = j
                 vstat[j] = BASIC
+                up[j] = dn[j] = 0.0
+                blo[r], bup[r] = lower[j], upper[j]
 
             pivots += 1
             self._since_refresh += 1
@@ -399,6 +432,7 @@ class SimplexSolver:
         self.upper[arts] = 0.0
         self.val[arts] = 0.0
         self.phase1_cost[arts] = 0.0
+        self._price_state()
 
     def resolve(self, objective: np.ndarray, maximize: bool = False) -> LpSolution:
         """Phase 2 with a fresh objective over the structural columns."""
@@ -416,13 +450,11 @@ class SimplexSolver:
         return LpSolution(LpStatus.UNBOUNDED, x, None)
 
     def _snapped_x(self) -> np.ndarray:
-        x = self.val[: self.nstruct].copy()
+        # an infinite bound is never within 1e-9 of x
         lo, up = self.problem.lower, self.problem.upper
-        hit = np.isfinite(lo) & (np.abs(x - lo) <= 1e-9)
-        x[hit] = lo[hit]
-        hit = np.isfinite(up) & (np.abs(x - up) <= 1e-9)
-        x[hit] = up[hit]
-        return x
+        x = self.val[: self.nstruct]
+        x = np.where(np.abs(x - lo) <= 1e-9, lo, x)
+        return np.where(np.abs(x - up) <= 1e-9, up, x)
 
 
 class CompiledInstance:

@@ -44,8 +44,7 @@ class PerturbOutcome:
 
 
 def _flip(x_tilde: np.ndarray, idx) -> np.ndarray:
-    out = np.asarray(x_tilde, dtype=np.int8).copy()
-    idx = np.asarray(idx, dtype=np.int64)
+    out = np.array(x_tilde, dtype=np.int8)
     out[idx] = 1 - out[idx]
     return out
 
@@ -59,8 +58,8 @@ def perturb_l(x_tilde, cert: ProjectedCertificate, l: int, rng: np.random.Genera
     if support.size == 0:
         raise EmptyCertificateSupport("certificate has no binary support to flip")
     draws = rng.integers(0, support.size, size=l)
-    idx = np.unique(support[draws])
-    return PerturbOutcome(_flip(x_tilde, idx), tuple(int(j) for j in idx), "walksat")
+    idx = sorted(set(support[draws].tolist()))
+    return PerturbOutcome(_flip(x_tilde, idx), tuple(idx), "walksat")
 
 
 def _fractionality(x_tilde, x_bar) -> np.ndarray:

@@ -82,6 +82,24 @@ def test_config_validation():
     assert set(BenchConfig(insts).algorithms) <= set(KNOWN_ALGORITHMS)
 
 
+def test_config_rejects_bad_worker_counts(monkeypatch):
+    # a zero worker count used to run serially, and a malformed or
+    # non-positive PUMPLAB_WORKERS silently gave one worker
+    insts = small_instances()
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            BenchConfig(insts, workers=bad)
+    for raw in ("abc", "-4", "0", ""):
+        monkeypatch.setenv("PUMPLAB_WORKERS", raw)
+        with pytest.raises(ValueError, match="PUMPLAB_WORKERS"):
+            BenchConfig(insts)
+        assert BenchConfig(insts, workers=2).workers == 2
+    monkeypatch.setenv("PUMPLAB_WORKERS", "3")
+    assert BenchConfig(insts).workers == 3
+    monkeypatch.delenv("PUMPLAB_WORKERS")
+    assert BenchConfig(insts).workers == 1
+
+
 def test_config_rejects_bad_flip_settings():
     insts = small_instances()
     for bad in ({"tt_range": (5, 1)}, {"tt_range": (-1, 3)}, {"flips": 0}, {"flips": -2}):

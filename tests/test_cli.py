@@ -120,6 +120,16 @@ def test_bad_inputs_fail_cleanly(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["abc", "-4", "0"])
+def test_bad_worker_environment_fails_cleanly(capsys, monkeypatch, raw):
+    # a malformed or non-positive PUMPLAB_WORKERS used to run one worker
+    monkeypatch.setenv("PUMPLAB_WORKERS", raw)
+    rc, out, err = run_cli(capsys, "bench", "--instances", os.path.join(DATA, "fractional_stall.pl"),
+                           "--algs", "orig", "--seeds", "1", "--max-iter", "5")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "PUMPLAB_WORKERS" in err
+
+
 def test_missing_file_is_a_clean_error(capsys):
     rc, _, err = run_cli(capsys, "solve", "--alg", "wfp", "no/such/file.pl")
     assert rc == 2

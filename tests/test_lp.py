@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from oracles import enum_box_lp, lift_exists
 from pumplab.certificate import CertificateOracle
 from pumplab.errors import InstanceInfeasible, InvalidInstance, NotACertificate
 from pumplab.gen import fractional_stall_instance, gen_subset_sum, zero_frac_stall_instance
-from pumplab.lp import CompiledInstance, LpProblem, LpStatus, SimplexSolver
+from pumplab.lp import AT_LOWER, AT_UPPER, BASIC, FREE, CompiledInstance, LpProblem, LpStatus, SimplexSolver
 from pumplab.projection import ProjectionOracle
 from pumplab.pump import lift
 from pumplab.model import LinearRow, MixedBinaryInstance, Sense
@@ -388,6 +390,45 @@ def test_condensed_tableau_is_the_basis_solve_of_the_stored_columns(case):
                                    rtol=0, atol=1e-8)
 
 
+def _assert_price_state(solver):
+    # the kept pricing state equals its recomputation from vstat, the
+    # bounds and the basis
+    vstat, lower, upper = solver.vstat, solver.lower, solver.upper
+    fixed = lower == upper
+    priced = (vstat != BASIC) & ~fixed
+    may_up = priced & ((vstat == AT_LOWER) | (vstat == FREE))
+    may_dn = priced & ((vstat == AT_UPPER) | (vstat == FREE))
+    np.testing.assert_array_equal(solver.fixed, fixed)
+    np.testing.assert_array_equal(solver.price_up, np.where(may_up, -1.0, 0.0))
+    np.testing.assert_array_equal(solver.price_dn, np.where(may_dn, 1.0, 0.0))
+    np.testing.assert_array_equal(solver.basic_lower, lower[solver.basis])
+    np.testing.assert_array_equal(solver.basic_upper, upper[solver.basis])
+
+
+@settings(max_examples=200, deadline=None)
+@given(warm_lps())
+def test_kept_pricing_state_matches_a_recomputation(case):
+    problem, objectives = case
+    solver = SimplexSolver(problem)
+    _assert_price_state(solver)
+    feasible = solver.ensure_phase1()
+    _assert_price_state(solver)
+    if not feasible:
+        return
+    half = len(objectives) // 2
+    for c, maximize in objectives[:half]:
+        solver.resolve(c, maximize=maximize)
+        _assert_price_state(solver)
+    twin = solver.clone()
+    for name in ("fixed", "price_up", "price_dn", "basic_lower", "basic_upper"):
+        assert not np.shares_memory(getattr(twin, name), getattr(solver, name)), name
+    _assert_price_state(twin)
+    for c, maximize in objectives[half:]:
+        for s in (twin, solver):
+            s.resolve(c, maximize=maximize)
+            _assert_price_state(s)
+
+
 def _highs(problem, c, maximize, linprog):
     # scipy status: 0 optimal, 2 infeasible, 3 unbounded
     A, b = problem.coeffs, problem.rhs
@@ -423,3 +464,63 @@ def test_warm_resolves_match_highs():
                 assert sol.objective == pytest.approx(value, rel=0, abs=1e-7)
 
     check()
+
+
+def _seeded_lp(rng, m, n):
+    # LE, GE and EQ rows over bounded and free columns; most right-hand
+    # sides are tight at a 0/1 witness (degenerate), one case in five is
+    # random (often infeasible)
+    A = rng.integers(-3, 4, size=(m, n)).astype(float)
+    A[rng.random((m, n)) < 0.3] = 0.0
+    senses = [_SENSES[i] for i in rng.integers(0, 3, m)]
+    free = rng.random(n) < 0.2
+    upper = np.where(free, np.inf, rng.choice([1.0, 2.0], n))
+    lower = np.where(free, -np.inf, 0.0)
+    if rng.random() < 0.8:
+        witness = rng.integers(0, 2, n).astype(float)
+        witness[free] = rng.integers(-2, 3, int(free.sum()))
+        slack = (rng.random(m) < 0.25).astype(float)
+        sign = np.array([{Sense.LE: 1.0, Sense.GE: -1.0, Sense.EQ: 0.0}[s] for s in senses])
+        rhs = A @ witness + sign * slack
+    else:
+        rhs = rng.integers(-3, 4, m).astype(float)
+    return LpProblem(A, senses, rhs, lower=lower, upper=upper)
+
+
+def _engine_digest(seed=2024, cases=80):
+    """sha256 over every warm answer of a seeded batch of LPs: a fresh
+    solver's resolves with both senses, then a clone and its parent
+    resolving on their own."""
+    rng = make_rng(seed)
+    h = hashlib.sha256()
+
+    def resolves(solver, n, count):
+        for _ in range(count):
+            c = rng.integers(-3, 4, n).astype(float)
+            if rng.random() < 0.3:
+                c = c + rng.normal(size=n)
+            sol = solver.resolve(c, maximize=bool(rng.integers(2)))
+            h.update(f"{int(sol.status)} {sol.objective!r} ".encode())
+            if sol.x is not None:
+                h.update(sol.x.tobytes())
+
+    for case in range(cases):
+        big = case % 8 == 7
+        m = int(rng.integers(6, 16)) if big else int(rng.integers(1, 6))
+        n = int(rng.integers(10, 30)) if big else int(rng.integers(1, 8))
+        solver = SimplexSolver(_seeded_lp(rng, m, n))
+        resolves(solver, n, 5)
+        twin = solver.clone()
+        resolves(twin, n, 4)
+        resolves(solver, n, 4)
+        resolves(twin.clone(), n, 2)
+    return h.hexdigest()
+
+
+# _engine_digest() pins every bit of those answers: a change to the engine
+# that keeps each float operation and each pivot choice keeps the digest
+ENGINE_DIGEST = "c1622cdf746706cd6a449d7ec8e34a88fc6a7987b031a974e90118af4dcff709"
+
+
+def test_engine_answers_are_pinned():
+    assert _engine_digest() == ENGINE_DIGEST

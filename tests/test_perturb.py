@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,27 @@ def test_rules_are_deterministic_given_seed():
         a, b = fn(make_rng(11)), fn(make_rng(11))
         assert a.flipped == b.flipped
         np.testing.assert_array_equal(a.x_new, b.x_new)
+
+
+def _perturb_l_digest(seed=2024, batch=400):
+    """sha256 over perturb_l's outcomes on a seeded batch of random
+    certificates and points, l in 1..3, and the rng state after it."""
+    gen = make_rng(seed)
+    rng = make_rng(seed + 1)
+    h = hashlib.sha256()
+    for _ in range(batch):
+        n = int(gen.integers(1, 40))
+        support = gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False)
+        x = gen.integers(0, 2, n).astype(np.int8)
+        out = perturb_l(x, fake_cert(support.tolist()), int(gen.integers(1, 4)), rng)
+        h.update(out.x_new.dtype.str.encode() + out.x_new.tobytes() + repr(out.flipped).encode())
+    h.update(repr(rng.bit_generator.state).encode())
+    return h.hexdigest()
+
+
+# _perturb_l_digest() pins the flips, the flipped points and the draws
+PERTURB_L_DIGEST = "5eb98c06a2ac66d3e4a20cee1a4e28c86fc8093a7d01a4de8603406113b2c187"
+
+
+def test_perturb_l_outcomes_are_pinned():
+    assert _perturb_l_digest() == PERTURB_L_DIGEST
