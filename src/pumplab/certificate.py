@@ -19,6 +19,29 @@ B y <= b - A x~ + ROW_TOL, so x~ lifts to a point of P. NotACertificate is
 thus the test of whether a binary point lifts, at the tolerance of the row
 test `CompiledInstance.violated_rows`; the pump drivers take y from the
 projection of such a point.
+
+With no continuous columns (d = 0) the LP is max v @ lambda over the
+simplex {lambda >= 0, sum(lambda) = 1}, with v = A x~ - b. Its optimum is
+a vertex e_r: the most violated row, WalkSAT's unsatisfied clause. The
+oracle builds no LP for it and gets the warm simplex's answer, bit for
+bit, in closed form:
+
+- The tableau has one row, and every entry of it is 1.0. Phase 1 enters
+  lambda_0, so row 0 is basic after it.
+- From basic row r the reduced cost of lambda_j is (-v_j) - (-v_r), whose
+  negation is v_j - v_r exactly (rounding is symmetric under negation).
+  The simplex enters the first j of largest v_j - v_r, and only when that
+  exceeds COST_TOL.
+- That takes one pivot, with t = 1 on the entry 1.0, so lambda = e_j
+  exactly and the objective is v_j. No v_i - v_j is positive after it, so
+  no second pivot follows.
+- The oracle keeps r and moves it exactly where the simplex would pivot,
+  before the ROW_TOL test, as the LP's basis moves before its objective
+  is read. The answer is lambda = e_r, a = A[r], beta = b[r] and
+  violation = v_r; the LP's beta is the dot product lambda @ b, which
+  gives 0.0 where b[r] is -0.0.
+- No continuous column needs cancelling, so a certificate can exist
+  whenever there is a row.
 """
 
 from __future__ import annotations
@@ -27,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotACertificate
-from .lp import ROW_TOL, CompiledInstance, LpProblem, LpStatus
+from .errors import DimensionMismatch, NonBinaryVector, NotACertificate
+from .lp import COST_TOL, ROW_TOL, CompiledInstance, LpProblem, LpStatus
 from .model import MixedBinaryInstance, Sense
 # perfbench/tracing.py wraps these two names in this module's namespace
 from .model import dense_rows, normalize  # noqa: F401
@@ -52,8 +75,8 @@ class ProjectedCertificate:
 
 
 def _lambda_problem(view: CompiledInstance) -> LpProblem:
-    # B.T @ lambda = 0, sum(lambda) = 1, lambda >= 0; the cost row is set
-    # by each resolve
+    # B.T @ lambda = 0, sum(lambda) = 1, lambda >= 0 (built only when d > 0);
+    # the cost row is set by each resolve
     m, d = view.norm.m, view.instance.d
     return LpProblem(
         coeffs=np.vstack([view.B.T, np.ones((1, m))]),
@@ -65,14 +88,24 @@ def _lambda_problem(view: CompiledInstance) -> LpProblem:
 
 
 class CertificateOracle:
-    """Warm lambda-LP for one instance; cost row changes with the point."""
+    """Minimal certificates of one instance's points, memoized per point.
+
+    With continuous columns, a warm lambda-LP whose cost row changes with
+    the point; without, the most violated row, tracked as `row` the way
+    the lambda-LP's basis would move (see the module docstring).
+    """
 
     def __init__(self, instance: MixedBinaryInstance):
         self.instance = instance
         self.view = CompiledInstance.of(instance)
-        self.solver = self.view.solver(_lambda_problem)
-        # infeasible lambda-LP means no certificate can exist for any point
-        self.possible = self.solver.ensure_phase1()
+        if instance.d:
+            self.solver = self.view.solver(_lambda_problem)
+            # infeasible lambda-LP means no certificate can exist for any point
+            self.possible = self.solver.ensure_phase1()
+        else:
+            self.solver = None
+            self.row = 0
+            self.possible = self.view.norm.m > 0
         self.cache: dict[bytes, ProjectedCertificate] = {}
 
     def min_certificate(self, x_bar) -> ProjectedCertificate:
@@ -81,19 +114,40 @@ class CertificateOracle:
         hit = self.cache.get(key)
         if hit is not None:
             return hit
+        if x.shape != (self.instance.n,):
+            raise DimensionMismatch(f"point has {x.size} entries, instance has {self.instance.n} binaries")
+        if not np.isfinite(x).all():
+            raise NonBinaryVector("a certificate needs a finite point")
         if not self.possible:
             raise NotACertificate("no row combination cancels the continuous columns")
         view = self.view
         v = view.A @ x - view.b
-        sol = self.solver.resolve(v, maximize=True)
-        if sol.status is not LpStatus.OPTIMAL or sol.objective <= ROW_TOL:
-            raise NotACertificate("the point lies in the binary projection")
-        lam_vec = sol.x
-        support = tuple(int(r) for r in np.flatnonzero(lam_vec > _SUPP_EPS))
-        lam = {r: float(lam_vec[r]) for r in support}
-        a_vec = lam_vec @ view.A
+        if self.solver is None:
+            score = v - v[self.row]
+            j = int(score.argmax())
+            if score[j] > COST_TOL:
+                self.row = j
+            r = self.row
+            if v[r] <= ROW_TOL:
+                raise NotACertificate("the point lies in the binary projection")
+            support = (r,)
+            lam = {r: 1.0}
+            a_vec = view.A[r]
+            # + 0.0 turns the -0.0 rhs of a flipped zero row into 0.0, as
+            # the LP's dot product lambda @ b does
+            beta = float(view.b[r]) + 0.0
+            violation = float(v[r])
+        else:
+            sol = self.solver.resolve(v, maximize=True)
+            if sol.status is not LpStatus.OPTIMAL or sol.objective <= ROW_TOL:
+                raise NotACertificate("the point lies in the binary projection")
+            lam_vec = sol.x
+            support = tuple(int(r) for r in np.flatnonzero(lam_vec > _SUPP_EPS))
+            lam = {r: float(lam_vec[r]) for r in support}
+            a_vec = lam_vec @ view.A
+            beta = float(lam_vec @ view.b)
+            violation = float(sol.objective)
         a = {int(j): float(a_vec[j]) for j in np.flatnonzero(np.abs(a_vec) > _SUPP_EPS)}
-        beta = float(lam_vec @ view.b)
         origin = view.norm.row_origin
         cert = ProjectedCertificate(
             point=x.copy(),
@@ -102,7 +156,7 @@ class CertificateOracle:
             beta=beta,
             support_rows=support,
             original_support=tuple(origin[r] for r in support),
-            violation=float(sol.objective),
+            violation=violation,
         )
         self.cache[key] = cert
         return cert

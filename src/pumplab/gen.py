@@ -59,7 +59,7 @@ def gen_subset_sum(
         xs = rng.integers(0, 2, size=n)
         witness[i * n : (i + 1) * n] = xs
         cols = range(i * n, (i + 1) * n)
-        rows.append(LinearRow({c: float(a[j]) for j, c in enumerate(cols)}, {}, Sense.EQ, float(a @ xs)))
+        rows.append(LinearRow(dict(zip(cols, a.tolist())), {}, Sense.EQ, float(a @ xs)))
         blocks.append(Block(tuple(cols), (), (i,)))
     inst = MixedBinaryInstance(
         name=name or f"subset-sum-k{k}-n{n}",
@@ -112,15 +112,16 @@ def gen_decomposable(
         bin_base, cont_base = i * spec.n, i * spec.d
         xs = rng.integers(0, 2, size=spec.n)
         witness[bin_base : bin_base + spec.n] = xs
+        bits = xs.tolist()
         row_ids = []
         for _ in range(spec.rows):
-            support = np.sort(rng.choice(spec.n, size=spec.s, replace=False))
+            support = np.sort(rng.choice(spec.n, size=spec.s, replace=False)).tolist()
             mags = rng.integers(1, spec.coeff_max + 1, size=spec.s)
             signs = rng.integers(0, 2, size=spec.s) * 2 - 1
-            coeffs = {int(bin_base + j): float(m * sg) for j, m, sg in zip(support, mags, signs)}
-            cont = rng.integers(-spec.coeff_max, spec.coeff_max + 1, size=spec.d)
-            cont_coeffs = {int(cont_base + j): float(v) for j, v in enumerate(cont) if v}
-            rhs = float(sum(coeffs[bin_base + j] * xs[j] for j in support))
+            coeffs = {bin_base + j: float(v) for j, v in zip(support, (mags * signs).tolist())}
+            cont = rng.integers(-spec.coeff_max, spec.coeff_max + 1, size=spec.d).tolist()
+            cont_coeffs = {cont_base + j: float(v) for j, v in enumerate(cont) if v}
+            rhs = float(sum(coeffs[bin_base + j] * bits[j] for j in support))
             row_ids.append(len(rows))
             rows.append(LinearRow(coeffs, cont_coeffs, Sense.LE, rhs))
         blocks.append(
@@ -160,12 +161,14 @@ def gen_two_stage(
     D = [rng.integers(-10, 11, size=(r, q)) for _ in range(k)]
     z = rng.integers(0, 2, size=p + k * q)
     rows: list[LinearRow] = []
+    first = A.tolist()
     for i in range(k):
         zi = z[p + i * q : p + (i + 1) * q]
-        vals = A @ z[:p] + D[i] @ zi
+        vals = (A @ z[:p] + D[i] @ zi).tolist()
+        second = D[i].tolist()
         for t in range(r):
-            coeffs = {int(j): float(A[t, j]) for j in range(p) if A[t, j]}
-            coeffs.update({int(p + i * q + j): float(D[i][t, j]) for j in range(q) if D[i][t, j]})
+            coeffs = {j: float(v) for j, v in enumerate(first[t]) if v}
+            coeffs.update({p + i * q + j: float(v) for j, v in enumerate(second[t]) if v})
             rows.append(LinearRow(coeffs, {}, Sense.LE, float(vals[t])))
     inst = MixedBinaryInstance(
         name=name or f"two-stage-k{k}-p{p}",

@@ -27,10 +27,11 @@ An LpProblem is only the constraint system; it carries no objective.
 Every objective is posed through `resolve`, which runs phase 1 once on
 first use and then phase 2 with the cost vector it is given, from the
 basis the previous call left. `clone` copies that state into an
-independent solver. The projection and certificate oracles depend on
-both: the constraint system never changes inside a pump run, only the
-cost vector does, and each oracle starts from a clone of a solver that ran
-phase 1 once for the instance.
+independent solver. The projection oracle and, on instances with
+continuous columns, the certificate oracle depend on both: the constraint
+system never changes inside a pump run, only the cost vector does, and
+each oracle starts from a clone of a solver that ran phase 1 once for the
+instance.
 
 CompiledInstance holds that per-instance state: the normalized instance,
 its dense rows, and the solvers of the LPs built on them, after phase 1.

@@ -13,6 +13,7 @@ certificates, pumps) works on the normalized all-<= form produced by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional
@@ -38,7 +39,7 @@ def _clean_coeffs(coeffs: Mapping[int, float], what: str) -> dict[int, float]:
         if not isinstance(idx, (int, np.integer)) or idx < 0:
             raise InvalidInstance(f"{what} index {idx!r} is not a nonnegative int")
         val = float(coeffs[idx])
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise InvalidInstance(f"{what} coefficient at {idx} is not finite")
         if val != 0.0:
             out[int(idx)] = val
@@ -59,7 +60,7 @@ class LinearRow:
         object.__setattr__(self, "cont_coeffs", _clean_coeffs(self.cont_coeffs, "continuous"))
         object.__setattr__(self, "sense", Sense(self.sense))
         rhs = float(self.rhs)
-        if not np.isfinite(rhs):
+        if not math.isfinite(rhs):
             raise InvalidInstance("rhs is not finite")
         object.__setattr__(self, "rhs", rhs)
 

@@ -11,7 +11,8 @@ run_wfp_compressed) ask the certificate oracle about their binary point
 first and perturb on the certificate it returns. NotACertificate means,
 by Farkas' lemma, that the point lies in the binary projection of P, so
 the two walks return lift(oracle, x): the point with the y of its own
-projection. No other test of whether a point lifts is made. wfp's stalled
+projection (an empty y, with no projection, when there are no continuous
+columns). No other test of whether a point lifts is made. wfp's stalled
 point has just failed the row test with that same y, so it always has a
 certificate, and NotACertificate there propagates as an error.
 
@@ -109,12 +110,13 @@ def _found(trace: PumpTrace, t: int, point: MixedPoint, record: bool) -> PumpTra
 def lift(oracle: ProjectionOracle, x: np.ndarray) -> MixedPoint:
     """The point (x, y) of a binary x that has no certificate, y taken from
     the projection of x. Such an x projects onto itself, so the pair meets
-    every row; SolverFailure when it does not."""
-    e = oracle.entry(x)
+    every row; SolverFailure when it does not. With no continuous columns
+    y is empty and nothing is projected: the row test on x alone decides."""
     xf = x.astype(float)
-    if not oracle.pair_feasible(xf, e.y_bar):
+    y = oracle.entry(x).y_bar.copy() if oracle.d else np.zeros(0)
+    if not oracle.pair_feasible(xf, y):
         raise SolverFailure("a point without a certificate did not lift")
-    return MixedPoint(xf, e.y_bar.copy())
+    return MixedPoint(xf, y)
 
 
 def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, record: bool, *,

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from pumplab.bench import _suite_rng, two_stage_suite
 from pumplab.formats import write_native
 from pumplab.gen import (
     BlockSpec,
@@ -124,3 +127,57 @@ def test_distinct_seeds_give_distinct_instances():
     a = gen_subset_sum(1, 6, make_rng(0)).instance
     b = gen_subset_sum(1, 6, make_rng(1)).instance
     assert write_native(a) != write_native(b)
+
+
+def _decomp_walk_results() -> list:
+    # the instances of perfbench's decomp-walk workload (same generator
+    # streams), with their witnesses
+    out = []
+    for k in (10, 25, 50):
+        for n in (3, 4):
+            out.append(gen_subset_sum(k, n, _suite_rng(12345, len(out)), coeff_max=10))
+    for k, spec in [(20, BlockSpec(n=5, d=0, rows=2, s=3)), (40, BlockSpec(n=5, d=0, rows=2, s=3)),
+                    (10, BlockSpec(n=4, d=1, rows=3, s=2)), (30, BlockSpec(n=4, d=1, rows=3, s=2)),
+                    (15, BlockSpec(n=4, d=2, rows=3, s=2)), (45, BlockSpec(n=4, d=2, rows=3, s=2))]:
+        out.append(gen_decomposable(k, spec, _suite_rng(12345, len(out))))
+    return out
+
+
+def _typed(coeffs) -> list:
+    return [(type(j).__name__, j, type(v).__name__, v) for j, v in coeffs.items()]
+
+
+def _instances_digest(instances, witnesses=()) -> str:
+    h = hashlib.sha256()
+    for inst in instances:
+        obj = None if inst.objective is None else (_typed(inst.objective.bin_coeffs),
+                                                   _typed(inst.objective.cont_coeffs))
+        rows = [(_typed(row.bin_coeffs), _typed(row.cont_coeffs), row.sense.value,
+                 type(row.rhs).__name__, row.rhs) for row in inst.rows]
+        h.update(repr((inst.name, inst.n, inst.d, rows, obj, inst.blocks, inst.row_origin)).encode())
+    for w in witnesses:
+        h.update(w.x.tobytes() + b"|" + w.y.tobytes())
+    return h.hexdigest()
+
+
+# _instances_digest per group, as the generators gave them when they built
+# the rows from numpy scalars
+PINNED_INSTANCES = {
+    "two-stage": "c90cd3b032a13250ba9cd5f772d4dbaa4dea7e0519ff87265f0c84ce8747ac10",
+    "decomp-walk": "1eab7e8956aa857a0faf8a08a7baa0bcaec72578e1f1b321f91548f5e2468015",
+    "traps": "f425c46cdcc834ec9fa2f7491553079bbf6e6f9b4414a20ad4c034b83376de85",
+}
+
+
+def test_benchmark_instances_are_pinned():
+    # the two-stage grid, the decomp-walk instances (with their witnesses)
+    # and the traps instances, bit for bit: names, rows with the types of
+    # their keys and values, blocks and row origins
+    decomp = _decomp_walk_results()
+    traps = [fractional_stall_instance()] + [zero_frac_stall_instance(t) for t in (2, 3, 4, 5, 6)]
+    got = {
+        "two-stage": _instances_digest(two_stage_suite()),
+        "decomp-walk": _instances_digest([r.instance for r in decomp], [r.witness for r in decomp]),
+        "traps": _instances_digest(traps),
+    }
+    assert got == PINNED_INSTANCES

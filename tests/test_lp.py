@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import enum_box_lp, lift_exists
-from pumplab.certificate import CertificateOracle
+from pumplab.certificate import CertificateOracle, _lambda_problem
 from pumplab.errors import InstanceInfeasible, InvalidInstance, NotACertificate
-from pumplab.gen import fractional_stall_instance, gen_subset_sum, zero_frac_stall_instance
+from pumplab.gen import BlockSpec, fractional_stall_instance, gen_decomposable, gen_subset_sum, zero_frac_stall_instance
 from pumplab.lp import AT_LOWER, AT_UPPER, BASIC, FREE, CompiledInstance, LpProblem, LpStatus, SimplexSolver
 from pumplab.projection import ProjectionOracle
 from pumplab.pump import lift
@@ -315,11 +315,20 @@ def test_compiled_view_keeps_one_instance(monkeypatch):
         return optimize(solver, cost, phase1)
 
     monkeypatch.setattr(SimplexSolver, "_optimize", counted)
-    inst = gen_subset_sum(2, 3, make_rng(5)).instance
+    inst = gen_decomposable(3, BlockSpec(n=3, d=1, rows=2, s=2), make_rng(5)).instance
     for _ in range(3):
         ProjectionOracle(inst).relaxation()
         CertificateOracle(inst)
     assert len(phase1_runs) == 2
+    # with no continuous columns the certificate oracle builds no LP at all
+    phase1_runs.clear()
+    inst = gen_subset_sum(2, 3, make_rng(5)).instance
+    for _ in range(3):
+        ProjectionOracle(inst).relaxation()
+        CertificateOracle(inst).min_certificate(np.ones(inst.n))
+    assert len(phase1_runs) == 1
+    view = CompiledInstance.of(inst)
+    assert _lambda_problem not in view._solvers and len(view._solvers) == 1
 
 
 @st.composite
