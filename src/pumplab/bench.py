@@ -23,7 +23,7 @@ import io
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import PumpLabError
 from .gen import gen_subset_sum, gen_two_stage
 from .model import MixedBinaryInstance
-from .perturb import DEFAULT_TT_RANGE
+from .perturb import DEFAULT_TT_RANGE, make_rng
 from . import pump
 
 CSV_COLUMNS = (
@@ -44,8 +44,6 @@ CSV_COLUMNS = (
     "restarts",
     "wall_time_s",
 )
-
-KNOWN_ALGORITHMS = tuple(pump.ALGORITHMS)
 
 # shift of the table's shifted geometric means, times and iterations alike
 SGM_SHIFT = 1.0
@@ -122,16 +120,11 @@ class BenchRow:
     wall_time_s: float
 
 
-def _run_rng(seed: int, inst_idx: int, alg_idx: int):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(inst_idx, alg_idx))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 def _run_one(cfg: BenchConfig, task) -> BenchRow:
     inst_idx, alg_idx, seed = task
     instance = cfg.instances[inst_idx]
     alg = cfg.algorithms[alg_idx]
-    rng = _run_rng(seed, inst_idx, alg_idx)
+    rng = make_rng(seed, inst_idx, alg_idx)
     start = time.perf_counter()
     try:
         trace = pump.run(alg, instance, rng, max_iter=cfg.max_iter, flips=cfg.flips,
@@ -374,13 +367,8 @@ def run_bound_suite(
     details = []
     for r in range(runs):
         k, n = configs[r % len(configs)]
-        gen_rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=base_seed, spawn_key=(0, r)))
-        )
-        run_rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=base_seed, spawn_key=(1, r)))
-        )
-        inst = gen_subset_sum(k, n, gen_rng, coeff_max=coeff_max).instance
+        run_rng = make_rng(base_seed, 1, r)
+        inst = gen_subset_sum(k, n, make_rng(base_seed, 0, r), coeff_max=coeff_max).instance
         if name == "1":
             bound = theorem_bound(
                 "T1",
@@ -420,19 +408,7 @@ def run_bound_suite(
 
 
 def _suite_rng(base_seed: int, idx: int):
-    ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(idx,))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
-def _renamed(inst: MixedBinaryInstance, name: str) -> MixedBinaryInstance:
-    return MixedBinaryInstance(
-        name=name,
-        n=inst.n,
-        d=inst.d,
-        rows=inst.rows,
-        objective=inst.objective,
-        blocks=inst.blocks,
-    )
+    return make_rng(base_seed, idx)
 
 
 def two_stage_suite(base_seed: int = 12345, ks=(5, 15, 25, 35, 45), ps=(10, 20), q: int = 10,
@@ -451,7 +427,7 @@ def two_stage_suite(base_seed: int = 12345, ks=(5, 15, 25, 35, 45), ps=(10, 20),
                 res = gen_two_stage(
                     k, p, q, _suite_rng(base_seed, idx), rows_per_scenario=rows_per_scenario
                 )
-                instances.append(_renamed(res.instance, f"{res.instance.name}-r{rep}"))
+                instances.append(replace(res.instance, name=f"{res.instance.name}-r{rep}"))
                 idx += 1
     return instances
 
@@ -463,6 +439,6 @@ def subset_sum_suite(base_seed: int, ks, ns, per_config: int = 1, coeff_max: int
         for n in ns:
             for rep in range(per_config):
                 res = gen_subset_sum(k, n, _suite_rng(base_seed, idx), coeff_max=coeff_max)
-                instances.append(_renamed(res.instance, f"{res.instance.name}-r{rep}"))
+                instances.append(replace(res.instance, name=f"{res.instance.name}-r{rep}"))
                 idx += 1
     return instances

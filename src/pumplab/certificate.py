@@ -69,10 +69,6 @@ class ProjectedCertificate:
     original_support: tuple[tuple[int, int], ...]  # (source row, +-1) pairs
     violation: float                         # a @ x~ - beta > 0
 
-    @property
-    def bin_support(self) -> tuple[int, ...]:
-        return tuple(self.a)
-
 
 def _lambda_problem(view: CompiledInstance) -> LpProblem:
     # B.T @ lambda = 0, sum(lambda) = 1, lambda >= 0 (built only when d > 0);

@@ -148,7 +148,6 @@ class LpSolution:
 
 class SimplexSolver:
     def __init__(self, problem: LpProblem):
-        self.problem = problem
         m, n = problem.coeffs.shape
         self.m, self.nstruct = m, n
         N = n + 2 * m
@@ -182,7 +181,6 @@ class SimplexSolver:
         self._feasible = False
         self._bland = False
         self._degen_run = 0
-        self._since_refresh = 0
         self._init_basis()
         # the initial basis is the identity, so T holds the columns that
         # can enter as they are; no artificial is among them, as each is
@@ -194,8 +192,8 @@ class SimplexSolver:
         self._price_state()
 
     def clone(self) -> "SimplexSolver":
-        """An independent solver in this one's state: every array copied,
-        the problem shared."""
+        """An independent solver in this one's state: every state array
+        copied, the refresh scratch shared."""
         twin = copy.copy(self)
         for name in _STATE_ARRAYS:
             setattr(twin, name, getattr(self, name).copy())
@@ -263,7 +261,6 @@ class SimplexSolver:
             d[basis] = 0.0
         else:
             d = cost.copy()
-        self._since_refresh = 0
         return d
 
     def _optimize(self, cost: np.ndarray, phase1: bool) -> LpStatus:
@@ -278,7 +275,7 @@ class SimplexSolver:
         pivots = 0
         limits = np.empty(m)
         while True:
-            if self._since_refresh >= _REFRESH_EVERY:
+            if pivots and pivots % _REFRESH_EVERY == 0:
                 d = self._refresh(cost)
             # -d where j may increase, d where it may decrease, and +-0
             # where it may not move
@@ -386,7 +383,6 @@ class SimplexSolver:
                 blo[r], bup[r] = lower[j], upper[j]
 
             pivots += 1
-            self._since_refresh += 1
             if pivots > max_pivots:
                 raise SolverFailure(f"pivot limit exceeded ({max_pivots})")
 
@@ -452,7 +448,7 @@ class SimplexSolver:
 
     def _snapped_x(self) -> np.ndarray:
         # an infinite bound is never within 1e-9 of x
-        lo, up = self.problem.lower, self.problem.upper
+        lo, up = self.lower[: self.nstruct], self.upper[: self.nstruct]
         x = self.val[: self.nstruct]
         x = np.where(np.abs(x - lo) <= 1e-9, lo, x)
         return np.where(np.abs(x - up) <= 1e-9, up, x)

@@ -64,10 +64,6 @@ class LinearRow:
             raise InvalidInstance("rhs is not finite")
         object.__setattr__(self, "rhs", rhs)
 
-    @property
-    def bin_support(self) -> tuple[int, ...]:
-        return tuple(self.bin_coeffs)
-
 
 @dataclass(frozen=True)
 class Objective:

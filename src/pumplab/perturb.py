@@ -1,22 +1,21 @@
 """Randomized flip rules used on stalls and restarts.
 
 All randomness flows through numpy Generators passed in by the caller
-(make_rng for a single seed), so every run is replayable from its seed.
-Each rule documents exactly how many draws it consumes; the hybrid rule
-deliberately consumes the same draws as the original rule whenever
-TT <= |F| so traces of the two coincide on such runs.
+(make_rng builds them from a seed), so every run is replayable from its
+seed. Each rule documents exactly how many draws it consumes.
 
-The two fractionality rules draw TT themselves (one draw, _draw_tt)
-unless the caller passes it as tt, in which case they draw nothing. The
-pump loop draws TT itself at each "original" or "original-zf" stall, in
-the same place in the draw order, and memoizes the rule's outcome per
-(stalled point, TT): given both, the outcome is a pure function.
+TT, the flip count of the fractionality rules, is not drawn here: the
+pump loop draws it (_draw_tt, one draw, first at each stall of orig,
+origzf and wfpbase) and passes it in. original_perturb and
+original_perturb_zero_frac are then pure functions of their arguments.
+wfpbase_perturb with TT <= |F| flips what original_perturb flips, by the
+same ranking code and with no draw, so traces of the two coincide on
+such runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -31,8 +30,10 @@ DEFAULT_TT_RANGE = (10, 30)
 FRAC_TOL = 1e-9
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+def make_rng(seed: int, *spawn_key: int) -> np.random.Generator:
+    """The PCG64 generator of seed, or of its child spawn_key; with no
+    spawn key it draws the stream of PCG64(seed)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)))
 
 
 @dataclass(frozen=True)
@@ -40,13 +41,17 @@ class PerturbOutcome:
     x_new: np.ndarray
     flipped: tuple[int, ...]
     kind: str
-    tt: Optional[int] = None
 
 
 def _flip(x_tilde: np.ndarray, idx) -> np.ndarray:
     out = np.array(x_tilde, dtype=np.int8)
     out[idx] = 1 - out[idx]
     return out
+
+
+def _outcome(x_tilde, idx, kind: str) -> PerturbOutcome:
+    # x~ with the coordinates idx flipped, listed in ascending order
+    return PerturbOutcome(_flip(x_tilde, idx), tuple(sorted(int(j) for j in idx)), kind)
 
 
 def perturb_l(x_tilde, cert: ProjectedCertificate, l: int, rng: np.random.Generator) -> PerturbOutcome:
@@ -82,31 +87,24 @@ def _by_fractionality(f: np.ndarray) -> np.ndarray:
     return np.argsort(-f, kind="stable")
 
 
-def original_perturb(x_tilde, x_bar, rng, tt_range=DEFAULT_TT_RANGE,
-                     tt: Optional[int] = None) -> PerturbOutcome:
-    """Flip the min(TT, NN) most fractional coordinates, TT uniform in the
-    range (or tt when given, with no draw), NN the number of strictly
-    fractional ones."""
+def _fractional(x_tilde, x_bar) -> np.ndarray:
+    # F, the strictly fractional coordinates, most fractional first
     f = _fractionality(x_tilde, x_bar)
-    if tt is None:
-        tt = _draw_tt(rng, tt_range)
     order = _by_fractionality(f)
-    positive = order[f[order] > FRAC_TOL]
-    idx = positive[: min(tt, positive.size)]
-    return PerturbOutcome(_flip(x_tilde, idx), tuple(int(j) for j in sorted(idx)), "original", tt)
+    return order[f[order] > FRAC_TOL]
 
 
-def original_perturb_zero_frac(x_tilde, x_bar, rng, tt_range=DEFAULT_TT_RANGE,
-                               tt: Optional[int] = None) -> PerturbOutcome:
+def original_perturb(x_tilde, x_bar, tt: int) -> PerturbOutcome:
+    """Flip the min(TT, |F|) most fractional coordinates, F the strictly
+    fractional ones. Draws nothing."""
+    return _outcome(x_tilde, _fractional(x_tilde, x_bar)[:tt], "original")
+
+
+def original_perturb_zero_frac(x_tilde, x_bar, tt: int) -> PerturbOutcome:
     """Variant that ranks all coordinates, zero fractionality included: flips
-    exactly min(TT, n) of them in (fractionality desc, index asc) order;
-    TT as in original_perturb."""
-    f = _fractionality(x_tilde, x_bar)
-    if tt is None:
-        tt = _draw_tt(rng, tt_range)
-    order = _by_fractionality(f)
-    idx = order[: min(tt, order.size)]
-    return PerturbOutcome(_flip(x_tilde, idx), tuple(int(j) for j in sorted(idx)), "original-zf", tt)
+    exactly min(TT, n) of them in (fractionality desc, index asc) order.
+    Draws nothing."""
+    return _outcome(x_tilde, _by_fractionality(_fractionality(x_tilde, x_bar))[:tt], "original-zf")
 
 
 def wfpbase_perturb(
@@ -115,27 +113,23 @@ def wfpbase_perturb(
     y_bar,
     instance: MixedBinaryInstance,
     rng: np.random.Generator,
-    tt_range=DEFAULT_TT_RANGE,
+    tt: int,
 ) -> PerturbOutcome:
-    """Original rule while TT <= |F|; otherwise flip all of F plus
-    min(|S|, TT - |F|) indices drawn without replacement from S, the union
-    of binary supports of rows violated at (x~, y) among the normalized rows.
+    """The original rule while TT <= |F|, drawing nothing; otherwise flip
+    all of F plus min(|S|, TT - |F|) indices drawn without replacement from
+    S (one rng.choice draw), the union of binary supports of rows violated
+    at (x~, y) among the normalized rows.
     """
-    f = _fractionality(x_tilde, x_bar)
-    tt = _draw_tt(rng, tt_range)
-    order = _by_fractionality(f)
-    positive = order[f[order] > FRAC_TOL]
+    positive = _fractional(x_tilde, x_bar)
     if tt <= positive.size:
-        idx = positive[:tt]
-        return PerturbOutcome(_flip(x_tilde, idx), tuple(int(j) for j in sorted(idx)), "wfpbase", tt)
+        return _outcome(x_tilde, positive[:tt], "wfpbase")
     view = CompiledInstance.of(instance)
     x = np.asarray(x_tilde, dtype=float).reshape(-1)
     y = np.asarray(y_bar, dtype=float).reshape(-1)
     s_union = np.flatnonzero(view.A[view.violated_rows(x, y)].any(axis=0))
     k = min(s_union.size, tt - positive.size)
-    extra = rng.choice(s_union, size=k, replace=False) if k else np.zeros(0, dtype=np.int64)
-    chosen = sorted(set(int(j) for j in positive) | set(int(j) for j in extra))
-    return PerturbOutcome(_flip(x_tilde, chosen), tuple(chosen), "wfpbase", tt)
+    extra = rng.choice(s_union, size=k, replace=False).tolist() if k else []
+    return _outcome(x_tilde, sorted({*positive.tolist(), *extra}), "wfpbase")
 
 
 def restart_mask(f: np.ndarray, r: np.ndarray) -> np.ndarray:

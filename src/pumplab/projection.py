@@ -26,6 +26,7 @@ from .model import dense_rows, normalize  # noqa: F401
 
 ROUND_SNAP = 1e-9
 INT_TOL = 1e-6
+_INT8 = np.dtype(np.int8)
 
 
 def round_binary(v) -> np.ndarray:
@@ -48,11 +49,11 @@ def is_integral(x_bar: np.ndarray, rounded: np.ndarray) -> bool:
 
 
 def as_binary(v) -> np.ndarray:
-    arr = np.ascontiguousarray(v, dtype=np.int8).reshape(-1)
+    """v as a new int8 vector; NonBinaryVector unless every entry is 0 or 1."""
     src = np.asarray(v, dtype=float).reshape(-1)
     if not ((src == 0.0) | (src == 1.0)).all():
         raise NonBinaryVector("expected an exact 0/1 vector")
-    return arr
+    return src.astype(np.int8)
 
 
 class ProjectionEntry(NamedTuple):
@@ -105,12 +106,19 @@ class ProjectionOracle:
         return sol.x[: self.n].copy(), sol.x[self.n :].copy()
 
     def entry(self, x_tilde) -> ProjectionEntry:
-        arr = np.ascontiguousarray(x_tilde, dtype=np.int8).reshape(-1)
-        key = arr.tobytes()
+        """The memoized projection of x_tilde; NonBinaryVector unless it is
+        an exact 0/1 vector. Only 0/1 keys are stored, so an int8 point is
+        checked on a miss alone and a hit pays for no check."""
+        if getattr(x_tilde, "dtype", None) is not _INT8:
+            x_tilde = as_binary(x_tilde)
+        key = x_tilde.tobytes()
         hit = self.cache.get(key)
         if hit is not None:
             return hit
-        return self._solve(arr, key)
+        # one byte per entry: deleting the bytes 0 and 1 leaves nothing
+        if key.translate(None, b"\x00\x01"):
+            raise NonBinaryVector("expected an exact 0/1 vector")
+        return self._solve(np.ascontiguousarray(x_tilde).reshape(-1), key)
 
     def _solve(self, arr: np.ndarray, key: bytes) -> ProjectionEntry:
         c = np.concatenate([1.0 - 2.0 * arr, np.zeros(self.d)])

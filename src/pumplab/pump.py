@@ -2,7 +2,8 @@
 
 The pump variants share one loop, _pump (relaxation, round, then project,
 test for acceptance and compare the rounded point with the previous one),
-and differ only in its stall, revisit and acceptance policies.
+and differ only in what they do on a stall, on a revisit and on
+acceptance, which _pump reads from the variant's name.
 run_mb_walksat walks by certificate flips alone, and run_wfp_compressed
 collapses each projection sequence to its fixpoint before perturbing.
 
@@ -120,32 +121,34 @@ def lift(oracle: ProjectionOracle, x: np.ndarray) -> MixedPoint:
 
 
 def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, record: bool, *,
-          stall: Optional[str] = None, revisit: Optional[str] = None, accept_rounded: bool = False,
           tt_range=DEFAULT_TT_RANGE, l: int = 0) -> PumpTrace:
-    """The project -> round -> compare loop behind every pump variant.
+    """The project -> round -> compare loop behind the pump variants; the
+    variant's name in ALGORITHMS is its only policy.
 
-    stall: on a repeat of the previous rounded point, nothing (None),
-    fractionality flips ("original", "original-zf"), l flips in a minimal
-    certificate's support ("certificate", with accept_rounded) or the
-    hybrid rule ("wfpbase").
-    At a fractionality stall the loop draws TT itself (one _draw_tt draw,
-    where the rule used to make it) and memoizes the rule's outcome per
-    run, keyed by (stalled point, TT). The stalled point is the rounding
-    of its own memoized projection, so the outcome is a pure function of
-    that key; a hit calls no rule.
-    revisit: on a repeat of an older rounded point, nothing (None), file
-    the first one into trace.cycle ("classify") or restart from it with a
-    fresh visited set ("restart").
-    accept_rounded: return the rounded point once it is feasible with the
-    projection's y, testing nothing at t = 0; otherwise return an integral
-    projection, the t = 0 relaxation included.
+    On a stall (a repeat of the previous rounded point) naive does
+    nothing, wfp flips l coordinates of a minimal certificate's support,
+    and orig, origzf and wfpbase draw TT (one _draw_tt draw, before any
+    draw of the rule) and flip by the fractionality, zero-fractionality
+    or hybrid rule. orig and origzf memoize the rule's outcome per run,
+    keyed by (stalled point, TT): the stalled point is the rounding of its
+    own memoized projection, so the outcome is a pure function of that
+    key, and a hit calls no rule.
+    On a revisit (a repeat of an older rounded point) naive files the
+    first one into trace.cycle and wfpbase restarts from it with a fresh
+    visited set; the others do nothing.
+    wfp returns the rounded point once it is feasible with the
+    projection's y, testing nothing at t = 0; the others return an
+    integral projection, the t = 0 relaxation included.
     """
+    naive = algorithm == "naive"
+    wfp = algorithm == "wfp"
+    wfpbase = algorithm == "wfpbase"
     oracle = ProjectionOracle(instance)
     trace = PumpTrace(algorithm, instance.name, None)
     records = trace.records
     x_bar, y_bar = oracle.relaxation()
     cur = round_binary(x_bar)
-    if not accept_rounded and is_integral(x_bar, cur):
+    if not wfp and is_integral(x_bar, cur):
         return _found(trace, 0, MixedPoint(x_bar, y_bar), record)
     if record:
         records.append(TraceRecord(0, "round"))
@@ -158,7 +161,7 @@ def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, rec
         if record:
             records.append(TraceRecord(t, "project", distance=e.distance))
         nxt, new_key = e.rounded, e.rounded_key
-        if accept_rounded:
+        if wfp:
             if record:
                 records.append(TraceRecord(t, "round"))
             if oracle.pair_feasible(nxt.astype(float), e.y_bar):
@@ -170,35 +173,36 @@ def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, rec
         if new_key == prev_key:
             if record:
                 records.append(TraceRecord(t, "stall"))
-            if stall is not None:
-                if stall in ("original", "original-zf"):
-                    tt = _draw_tt(rng, tt_range)
-                    out = flips.get((new_key, tt))
-                    if out is None:
-                        rule = original_perturb if stall == "original" else original_perturb_zero_frac
-                        out = flips[new_key, tt] = rule(nxt, e.x_bar, rng, tt_range, tt=tt)
-                elif stall == "wfpbase":
-                    out = wfpbase_perturb(nxt, e.x_bar, e.y_bar, instance, rng, tt_range)
-                else:
+            if not naive:
+                if wfp:
                     if certs is None:
                         certs = CertificateOracle(instance)
-                    out = perturb_l(nxt, certs.min_certificate(nxt.astype(float)), l, rng)
+                    out = perturb_l(nxt, certs.min_certificate(nxt), l, rng)
+                else:
+                    tt = _draw_tt(rng, tt_range)
+                    if wfpbase:
+                        out = wfpbase_perturb(nxt, e.x_bar, e.y_bar, instance, rng, tt)
+                    else:
+                        out = flips.get((new_key, tt))
+                        if out is None:
+                            rule = original_perturb if algorithm == "orig" else original_perturb_zero_frac
+                            out = flips[new_key, tt] = rule(nxt, e.x_bar, tt)
                 trace.perturbations += 1
                 if record:
                     records.append(TraceRecord(t, "perturb", out.kind, out.flipped))
                 nxt, new_key = out.x_new, out.x_new.tobytes()
-        elif revisit == "restart" and new_key in visited:
+        elif wfpbase and new_key in visited:
             out = restart_perturb(nxt, e.x_bar, rng)
             trace.restarts += 1
             if record:
                 records.append(TraceRecord(t, "restart", out.kind, out.flipped))
             visited = {}
             nxt, new_key = out.x_new, out.x_new.tobytes()
-        if revisit == "restart":
+        if wfpbase:
             if len(visited) >= HISTORY_CAP:
                 visited.pop(next(iter(visited)))
             visited[new_key] = t
-        elif revisit == "classify" and trace.cycle is None:
+        elif naive and trace.cycle is None:
             seen = visited.get(new_key)
             if seen is not None:
                 gap = t - seen
@@ -216,7 +220,7 @@ def run_naive_fp(instance: MixedBinaryInstance, max_iter: int = 10_000, record: 
     The first revisited rounded point is classified into trace.cycle as
     ("one", 1) or ("long", gap).
     """
-    return _pump("naive", instance, max_iter, None, record, revisit="classify")
+    return _pump("naive", instance, max_iter, None, record)
 
 
 def run_original_fp(
@@ -229,9 +233,7 @@ def run_original_fp(
 ) -> PumpTrace:
     """Naive loop plus fractionality-guided flips whenever the rounded point
     repeats the previous iterate."""
-    if zero_frac_flips:
-        return _pump("origzf", instance, max_iter, rng, record, stall="original-zf", tt_range=tt_range)
-    return _pump("orig", instance, max_iter, rng, record, stall="original", tt_range=tt_range)
+    return _pump("origzf" if zero_frac_flips else "orig", instance, max_iter, rng, record, tt_range=tt_range)
 
 
 def run_wfp(
@@ -242,7 +244,7 @@ def run_wfp(
     record: bool = True,
 ) -> PumpTrace:
     """Pump whose stalls are escaped by certificate-support flips."""
-    return _pump("wfp", instance, max_iter, rng, record, stall="certificate", accept_rounded=True, l=l)
+    return _pump("wfp", instance, max_iter, rng, record, l=l)
 
 
 def run_wfpbase_fp(
@@ -254,8 +256,7 @@ def run_wfpbase_fp(
 ) -> PumpTrace:
     """Hybrid pump: fractionality flips widened into violated-row supports
     on stalls, randomized restarts when an older rounded point recurs."""
-    return _pump("wfpbase", instance, max_iter, rng, record, stall="wfpbase", revisit="restart",
-                 tt_range=tt_range)
+    return _pump("wfpbase", instance, max_iter, rng, record, tt_range=tt_range)
 
 
 def run_mb_walksat(
@@ -283,7 +284,7 @@ def run_mb_walksat(
         raise ValueError("start point length does not match instance")
     for t in range(max_iter + 1):
         try:
-            cert = certs.min_certificate(x.astype(float))
+            cert = certs.min_certificate(x)
         except NotACertificate:
             trace.perturbations = t
             return _found(trace, t, lift(oracle, x), record)
@@ -323,7 +324,7 @@ def run_wfp_compressed(
         if record:
             trace.records.append(TraceRecord(t, "altproj", distance=e.distance))
         try:
-            cert = certs.min_certificate(z.astype(float))
+            cert = certs.min_certificate(z)
         except NotACertificate:
             return _found(trace, t, lift(oracle, z), record)
         out = perturb_l(z, cert, l, rng)

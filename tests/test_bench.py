@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from pumplab.bench import (
     CSV_COLUMNS,
-    KNOWN_ALGORITHMS,
     BenchConfig,
     BenchRow,
     make_table,
@@ -20,6 +19,7 @@ from pumplab.bench import (
     two_stage_suite,
     write_csv,
 )
+from pumplab import pump
 from pumplab.gen import fractional_stall_instance, gen_subset_sum
 from pumplab.perturb import make_rng
 
@@ -79,7 +79,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="max_iter"):
         BenchConfig(insts, max_iter=-5)
     assert BenchConfig(insts, max_iter=0).max_iter == 0
-    assert set(BenchConfig(insts).algorithms) <= set(KNOWN_ALGORITHMS)
+    assert set(BenchConfig(insts).algorithms) <= set(pump.ALGORITHMS)
 
 
 def test_config_rejects_bad_worker_counts(monkeypatch):

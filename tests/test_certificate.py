@@ -21,7 +21,7 @@ def test_worked_certificate_single_eq_instance():
     assert cert.a == {0: pytest.approx(3.0), 1: pytest.approx(1.0)}
     assert cert.beta == pytest.approx(3.0)
     assert cert.violation == pytest.approx(1.0, abs=1e-9)
-    assert cert.bin_support == (0, 1)
+    assert tuple(cert.a) == (0, 1)
     assert verify_minimal(inst, cert)
 
 
@@ -253,7 +253,7 @@ def _answers(oracle, points) -> list:
             out.append("refused")
             continue
         out.append(repr((c.point.tobytes(), list(c.lam.items()), list(c.a.items()), c.beta, c.support_rows,
-                         c.original_support, c.violation, c.bin_support)))
+                         c.original_support, c.violation, tuple(c.a))))
     return out
 
 

@@ -24,7 +24,7 @@ def single_eq_instance():
 
 def test_linear_row_drops_zeros_and_sorts():
     row = LinearRow({3: 1.0, 1: 0.0, 0: 2.0}, {}, Sense.LE, 4.0)
-    assert row.bin_support == (0, 3)
+    assert tuple(row.bin_coeffs) == (0, 3)
     assert 1 not in row.bin_coeffs
 
 

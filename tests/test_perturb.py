@@ -36,6 +36,14 @@ def test_rng_helpers_are_reproducible():
     np.testing.assert_array_equal(a, b)
 
 
+def test_make_rng_is_pcg64_of_the_seed_or_its_spawn_key():
+    draws = make_rng(7).integers(0, 1 << 62, 5)
+    np.testing.assert_array_equal(draws, np.random.Generator(np.random.PCG64(7)).integers(0, 1 << 62, 5))
+    child = np.random.SeedSequence(entropy=7, spawn_key=(1, 2))
+    np.testing.assert_array_equal(make_rng(7, 1, 2).integers(0, 1 << 62, 5),
+                                  np.random.Generator(np.random.PCG64(child)).integers(0, 1 << 62, 5))
+
+
 def test_perturb_l_flips_within_support():
     cert = fake_cert([0, 2, 5, 7])
     x = np.zeros(9, dtype=np.int8)
@@ -87,45 +95,49 @@ def test_perturb_l_pair_draw_distribution():
     assert chi2 < CHI2_Q999[2]
 
 
+# two stalled points with their projections: fractionality (0.4, 0.3, 0.3,
+# 0, 0), whose tie at 0.3 goes to the smaller index, and (0.2, 0.2, 0, 0,
+# 0.5, 0.3), ranked 4, 5, 0, 1, then the integral 2 and 3
+POINT_5 = (np.zeros(5, dtype=np.int8), np.array([0.4, 0.3, 0.3, 0.0, 0.0]))
+POINT_6 = (np.array([0, 1, 0, 1, 0, 1], dtype=np.int8), np.array([0.2, 0.8, 0.0, 1.0, 0.5, 0.7]))
+
+
+def flipped_at(x, idx):
+    return np.where(np.isin(np.arange(x.size), idx), 1 - x, x)
+
+
+def check_worked_cases(rule, kind, cases):
+    for (x, x_bar), tt, want in cases:
+        out = rule(x, x_bar, tt)
+        assert (out.flipped, out.kind) == (want, kind), tt
+        np.testing.assert_array_equal(out.x_new, flipped_at(x, want))
+
+
 def test_original_perturb_worked_example():
-    x = np.zeros(5, dtype=np.int8)
-    x_bar = np.array([0.4, 0.3, 0.3, 0.0, 0.0])
-    out = original_perturb(x, x_bar, make_rng(0), tt_range=(2, 2))
-    assert out.flipped == (0, 1)          # tie at 0.3 goes to the smaller index
-    assert out.tt == 2
-    out = original_perturb(x, x_bar, make_rng(0), tt_range=(10, 10))
-    assert out.flipped == (0, 1, 2)       # NN = 3 caps the flip count
-    np.testing.assert_array_equal(out.x_new, [1, 1, 1, 0, 0])
+    check_worked_cases(original_perturb, "original", [
+        (POINT_5, 2, (0, 1)),
+        (POINT_5, 10, (0, 1, 2)),         # NN = 3 caps the flip count
+        (POINT_6, 0, ()),
+        (POINT_6, 1, (4,)),
+        (POINT_6, 2, (4, 5)),
+        (POINT_6, 3, (0, 4, 5)),
+        *[(POINT_6, tt, (0, 1, 4, 5)) for tt in range(4, 8)],
+    ])
 
 
 def test_zero_frac_variant_ranks_every_coordinate():
-    x = np.zeros(5, dtype=np.int8)
-    x_bar = np.array([0.4, 0.3, 0.3, 0.0, 0.0])
-    out = original_perturb_zero_frac(x, x_bar, make_rng(0), tt_range=(4, 4))
-    assert out.flipped == (0, 1, 2, 3)    # zero-fractionality index 3 joins
-    out = original_perturb_zero_frac(x, x_bar, make_rng(0), tt_range=(10, 10))
-    assert out.flipped == (0, 1, 2, 3, 4)
-
-
-@pytest.mark.parametrize("rule", [original_perturb, original_perturb_zero_frac])
-def test_given_tt_draws_nothing_and_matches_the_drawn_tt(rule):
-    x = np.array([0, 1, 0, 1, 0, 1], dtype=np.int8)
-    x_bar = np.array([0.2, 0.8, 0.0, 1.0, 0.5, 0.7])
-    drawn = {}
-    for seed in range(60):
-        out = rule(x, x_bar, make_rng(seed), tt_range=(0, 7))
-        drawn.setdefault(out.tt, out)
-    assert sorted(drawn) == list(range(8))
-    for k, want in drawn.items():
-        rng = make_rng(99)
-        state = rng.bit_generator.state
-        # a bad range is not even read when tt is given
-        got = rule(x, x_bar, rng, tt_range=(5, 1), tt=k)
-        assert rng.bit_generator.state == state
-        assert (got.flipped, got.kind, got.tt) == (want.flipped, want.kind, k)
-        np.testing.assert_array_equal(got.x_new, want.x_new)
-    with pytest.raises(ValueError, match="bad TT range"):
-        rule(x, x_bar, make_rng(0), tt_range=(5, 1))
+    check_worked_cases(original_perturb_zero_frac, "original-zf", [
+        (POINT_5, 4, (0, 1, 2, 3)),       # zero-fractionality index 3 joins
+        (POINT_5, 10, (0, 1, 2, 3, 4)),
+        (POINT_6, 0, ()),
+        (POINT_6, 1, (4,)),
+        (POINT_6, 2, (4, 5)),
+        (POINT_6, 3, (0, 4, 5)),
+        (POINT_6, 4, (0, 1, 4, 5)),
+        (POINT_6, 5, (0, 1, 2, 4, 5)),
+        (POINT_6, 6, (0, 1, 2, 3, 4, 5)),
+        (POINT_6, 7, (0, 1, 2, 3, 4, 5)),
+    ])
 
 
 def test_original_never_flips_integral_coordinates():
@@ -137,27 +149,28 @@ def test_original_never_flips_integral_coordinates():
         x_bar = np.clip(x_bar, 0.0, 1.0)
         f = np.abs(x_bar - x)
         positive = set(np.flatnonzero(f > 1e-9))
-        lo = int(rng.integers(1, 4))
-        out = original_perturb(x, x_bar, rng, tt_range=(lo, lo + 2))
+        tt = int(rng.integers(1, 6))
+        out = original_perturb(x, x_bar, tt)
         assert set(out.flipped) <= positive
-        assert len(out.flipped) == min(out.tt, len(positive))
-        zf = original_perturb_zero_frac(x, x_bar, rng, tt_range=(lo, lo + 2))
-        assert len(zf.flipped) == min(zf.tt, n)
+        assert len(out.flipped) == min(tt, len(positive))
+        zf = original_perturb_zero_frac(x, x_bar, tt)
+        assert len(zf.flipped) == min(tt, n)
         assert positive & set(range(n)) >= set(zf.flipped) & positive
 
 
 def test_hybrid_matches_original_when_tt_small():
+    # |F| = 2, so TT <= 2 takes the original rule's flips and no draw
     inst = fractional_stall_instance()
     x = np.array([0, 0], dtype=np.int8)
     x_bar = np.array([0.9, 0.4])
-    for seed in range(6):
-        r1, r2 = make_rng(seed), make_rng(seed)
-        a = original_perturb(x, x_bar, r1, tt_range=(1, 2))
-        b = wfpbase_perturb(x, x_bar, np.zeros(0), inst, r2, tt_range=(1, 2))
-        assert a.flipped == b.flipped
+    for tt in range(3):
+        rng = make_rng(tt)
+        state = rng.bit_generator.state
+        a = original_perturb(x, x_bar, tt)
+        b = wfpbase_perturb(x, x_bar, np.zeros(0), inst, rng, tt)
+        assert (a.flipped, b.kind) == (b.flipped, "wfpbase")
         np.testing.assert_array_equal(a.x_new, b.x_new)
-        # both consumed exactly the TT draw, so the streams stay aligned
-        assert r1.integers(0, 10**6) == r2.integers(0, 10**6)
+        assert rng.bit_generator.state == state
 
 
 def test_hybrid_draws_from_violated_row_support():
@@ -168,7 +181,7 @@ def test_hybrid_draws_from_violated_row_support():
     x_bar = np.array([2 / 3, 1.0])
     seen = set()
     for seed in range(40):
-        out = wfpbase_perturb(x, x_bar, np.zeros(0), inst, make_rng(seed), tt_range=(2, 2))
+        out = wfpbase_perturb(x, x_bar, np.zeros(0), inst, make_rng(seed), 2)
         assert out.kind == "wfpbase"
         seen.add(out.flipped)
         assert out.flipped in {(0,), (0, 1)}
@@ -177,7 +190,7 @@ def test_hybrid_draws_from_violated_row_support():
 
     # TT = 3 wants two extras but S only has one new index: deterministic
     for seed in range(5):
-        out = wfpbase_perturb(x, x_bar, np.zeros(0), inst, make_rng(seed), tt_range=(3, 3))
+        out = wfpbase_perturb(x, x_bar, np.zeros(0), inst, make_rng(seed), 3)
         assert out.flipped == (0, 1)
 
 
@@ -219,8 +232,9 @@ def test_rules_are_deterministic_given_seed():
     inst = fractional_stall_instance()
     cert = fake_cert([0, 1])
     for fn in (
-        lambda r: original_perturb(x, x_bar, r),
-        lambda r: original_perturb_zero_frac(x, x_bar, r),
+        lambda r: original_perturb(x, x_bar, 3),
+        lambda r: original_perturb_zero_frac(x, x_bar, 3),
+        lambda r: wfpbase_perturb(x[:2], x_bar[:2], np.zeros(0), inst, r, 3),
         lambda r: restart_perturb(x, x_bar, r),
         lambda r: perturb_l(x[:2], cert, 2, r),
     ):

@@ -38,6 +38,34 @@ def test_as_binary_rejects_fractions():
     np.testing.assert_array_equal(as_binary([1.0, 0.0]), [1, 0])
 
 
+@pytest.mark.parametrize("point", [[np.nan, 1.0], [np.inf, 0.0], [300, 1]], ids=["nan", "inf", "300"])
+def test_as_binary_checks_values_before_casting(point):
+    # casting first raised numpy's ValueError or OverflowError
+    with pytest.raises(NonBinaryVector):
+        as_binary(point)
+
+
+@pytest.mark.parametrize("point", [
+    [2, 1],
+    [0.7, 1.0],
+    [np.nan, 1.0],
+    np.array([2, 1], dtype=np.int8),
+    np.array([-1, 1], dtype=np.int8),
+], ids=["int-2", "fraction", "nan", "int8-2", "int8-minus-1"])
+def test_entry_rejects_a_point_that_is_not_binary(point):
+    # [2, 1] used to project with distance 0.0, [0.7, 1.0] as (0, 1), and
+    # a NaN raised numpy's ValueError; an int8 point is checked on a miss,
+    # also once the memo holds other points
+    oracle = ProjectionOracle(fractional_stall_instance())
+    for warm in ([1, 1], [0, 1]):
+        oracle.entry(warm)
+    solves = oracle.lp_solves
+    with pytest.raises(NonBinaryVector):
+        oracle.entry(point)
+    assert oracle.lp_solves == solves
+    assert len(oracle.cache) == 2
+
+
 def test_l1_proj_worked_values():
     inst = fractional_stall_instance()
     oracle = ProjectionOracle(inst)

@@ -21,7 +21,7 @@ from pumplab.model import (
     check_feasible,
 )
 from pumplab import pump
-from pumplab.perturb import make_rng
+from pumplab.perturb import FRAC_TOL, make_rng
 from pumplab.pump import (
     run_mb_walksat,
     run_naive_fp,
@@ -141,6 +141,56 @@ def test_long_stalled_traces_are_pinned(alg, name, tt):
         assert (digest, int(rng.integers(1 << 62))) == want, seed
 
 
+WFPBASE_CASES = {
+    "subset-sum-8x4": lambda: gen_subset_sum(8, 4, make_rng(1), coeff_max=10).instance,
+    "subset-sum-5x6": lambda: gen_subset_sum(5, 6, make_rng(2), coeff_max=10).instance,
+    "zero-frac-stall-6": lambda: zero_frac_stall_instance(6),
+}
+
+# As LONG_STALL_TRACES for wfpbase (digest and next draw), with the run's
+# restarts and how many stalls each branch of the hybrid rule answered:
+# TT <= |F| (the original rule) and TT > |F| (draws from violated rows).
+# Computed while the rule still drew TT itself, so they show that moving
+# the draw into the loop changed no trace and no draw.
+WFPBASE_TRACES = {
+    ("subset-sum-8x4", (1, 4)): (
+        ("453e76d7e171fd92", 1964466799537700886, 519, 722, 29),
+        ("d43688660c07b5b7", 2193817389245155391, 531, 725, 26),
+        ("dd351d1c0b7927b9", 2647392940497661946, 526, 722, 28),
+    ),
+    ("subset-sum-5x6", (1, 4)): (
+        ("899158de1bafbba1", 758732299345821340, 99, 96, 40),
+        ("b02590b32bcc6c83", 4482114988984235227, 291, 309, 94),
+        ("4b7c2b3c08215ac0", 2407559044518555909, 183, 198, 30),
+    ),
+    ("zero-frac-stall-6", (1, 2)): (
+        ("fd0dd43f0ddd2500", 3762460428626562515, 1, 0, 2),
+        ("e2aab19325a257dc", 3045351675539795041, 9, 3, 6),
+        ("f04fbac1aca3cfcb", 4435842237767405847, 12, 7, 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name,tt", sorted(WFPBASE_TRACES))
+def test_long_wfpbase_traces_are_pinned(monkeypatch, name, tt):
+    small_tt = []
+    real = pump.wfpbase_perturb
+
+    def spy(x_tilde, x_bar, y_bar, instance, rng, k):
+        small_tt.append(k <= int((np.abs(x_bar - x_tilde) > FRAC_TOL).sum()))
+        return real(x_tilde, x_bar, y_bar, instance, rng, k)
+
+    monkeypatch.setattr(pump, "wfpbase_perturb", spy)
+    inst = WFPBASE_CASES[name]()
+    for seed, (digest, draw, restarts, narrow, wide) in enumerate(WFPBASE_TRACES[name, tt]):
+        small_tt.clear()
+        rng = make_rng(seed)
+        trace = pump.run("wfpbase", inst, rng, max_iter=2000, record=True, tt_range=tt)
+        got = hashlib.sha256("\n".join(trace.to_lines()).encode()).hexdigest()[:16]
+        assert (got, int(rng.integers(1 << 62))) == (digest, draw), seed
+        assert (trace.restarts, small_tt.count(True), small_tt.count(False)) == (restarts, narrow, wide), seed
+
+
 @pytest.mark.parametrize("alg,rule,name,tt", [
     ("orig", "original_perturb", "fractional-stall", (10, 30)),
     ("origzf", "original_perturb_zero_frac", "zero-frac-stall-3", (1, 3)),
@@ -151,9 +201,9 @@ def test_fractionality_stalls_rank_each_point_and_tt_once(monkeypatch, alg, rule
     keys = []
     real = getattr(pump, rule)
 
-    def spy(x_tilde, x_bar, rng, tt_range, tt=None):
+    def spy(x_tilde, x_bar, tt):
         keys.append((x_tilde.tobytes(), tt))
-        return real(x_tilde, x_bar, rng, tt_range, tt=tt)
+        return real(x_tilde, x_bar, tt)
 
     monkeypatch.setattr(pump, rule, spy)
     trace = pump.run(alg, trap(name), make_rng(0), max_iter=2000, tt_range=tt, record=False)
@@ -161,7 +211,7 @@ def test_fractionality_stalls_rank_each_point_and_tt_once(monkeypatch, alg, rule
     assert len(set(keys)) == len(keys) < 100
 
 
-@pytest.mark.parametrize("alg", ["orig", "origzf"])
+@pytest.mark.parametrize("alg", ["orig", "origzf", "wfpbase"])
 @pytest.mark.parametrize("tt_range", [(5, 1), (-1, 3)])
 def test_bad_tt_range_raises_at_the_first_stall(alg, tt_range):
     inst = fractional_stall_instance()
