@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from pumplab.certificate import CertificateOracle, ProjectedCertificate
 from pumplab.errors import EmptyCertificateSupport
 from pumplab.gen import fractional_stall_instance
 from pumplab.perturb import (
+    _draw_tt,
     make_rng,
     original_perturb,
     original_perturb_zero_frac,
@@ -138,6 +140,29 @@ def test_zero_frac_variant_ranks_every_coordinate():
         (POINT_6, 6, (0, 1, 2, 3, 4, 5)),
         (POINT_6, 7, (0, 1, 2, 3, 4, 5)),
     ])
+
+
+@pytest.mark.parametrize("rule", [original_perturb, original_perturb_zero_frac])
+def test_given_tt_draws_nothing_and_matches_the_drawn_tt(rule):
+    # the pump loop draws TT with _draw_tt (one draw) and passes it in; the
+    # rule takes no generator, so a TT given directly flips what the same
+    # TT drawn from the loop's range flips
+    x, x_bar = POINT_6
+    assert "rng" not in inspect.signature(rule).parameters
+    drawn = {}
+    for seed in range(60):
+        rng, one = make_rng(seed), make_rng(seed)
+        tt = _draw_tt(rng, (0, 7))
+        assert tt == int(one.integers(0, 8))
+        assert rng.bit_generator.state == one.bit_generator.state
+        drawn.setdefault(tt, rule(x, x_bar, tt))
+    assert sorted(drawn) == list(range(8))
+    for k, want in drawn.items():
+        got = rule(x, x_bar, k)
+        assert (got.flipped, got.kind) == (want.flipped, want.kind)
+        np.testing.assert_array_equal(got.x_new, want.x_new)
+    with pytest.raises(ValueError, match="bad TT range"):
+        _draw_tt(make_rng(0), (5, 1))
 
 
 def test_original_never_flips_integral_coordinates():
