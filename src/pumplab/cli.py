@@ -335,10 +335,7 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PumpLabError as exc:
+    except (OSError, UnicodeDecodeError, PumpLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

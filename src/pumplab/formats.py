@@ -63,6 +63,14 @@ def write_native(instance: MixedBinaryInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _number(text: str, line_no: int, kind=float, token: Optional[str] = None):
+    """kind(text), or a FormatError naming the line (and the token text is part of)."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise FormatError(f"bad number {text!r}" + (f" in {token!r}" if token else ""), line_no) from exc
+
+
 def _parse_pairs(tokens, line_no):
     bins: dict[int, float] = {}
     conts: dict[int, float] = {}
@@ -70,22 +78,14 @@ def _parse_pairs(tokens, line_no):
         if ":" not in tok or tok[0] not in "bc":
             raise FormatError(f"bad coefficient token {tok!r}", line_no)
         head, _, val = tok.partition(":")
-        try:
-            idx = int(head[1:])
-            coeff = float(val)
-        except ValueError as exc:
-            raise FormatError(f"bad coefficient token {tok!r}", line_no) from exc
+        idx = _number(head[1:], line_no, int, tok)
+        coeff = _number(val, line_no, float, tok)
         (bins if head[0] == "b" else conts)[idx] = coeff
     return bins, conts
 
 
 def _parse_csv(text, line_no) -> tuple[int, ...]:
-    if not text:
-        return ()
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise FormatError(f"bad index list {text!r}", line_no) from exc
+    return tuple(_number(x, line_no, int, text) for x in text.split(",")) if text else ()
 
 
 def read_native(text: str) -> MixedBinaryInstance:
@@ -111,7 +111,7 @@ def read_native(text: str) -> MixedBinaryInstance:
         elif directive == "cols":
             if len(fields) != 3:
                 raise FormatError("cols wants two integers", line_no)
-            n, d = int(fields[1]), int(fields[2])
+            n, d = (_number(f, line_no, int) for f in fields[1:])
         elif directive == "row":
             if len(fields) < 3:
                 raise FormatError("row wants a sense and rhs", line_no)
@@ -119,7 +119,7 @@ def read_native(text: str) -> MixedBinaryInstance:
                 sense = Sense(fields[1])
             except ValueError as exc:
                 raise FormatError(f"unknown sense {fields[1]!r}", line_no) from exc
-            rhs = float(fields[2])
+            rhs = _number(fields[2], line_no)
             bins, conts = _parse_pairs(fields[3:], line_no)
             rows.append(LinearRow(bins, conts, sense, rhs))
         elif directive == "objective":
@@ -215,7 +215,7 @@ def parse_mps(text: str) -> MixedBinaryInstance:
                 col_kind[cname] = integer_mode
                 col_order.append(cname)
             for i in range(1, len(fields), 2):
-                rname, val = fields[i], float(fields[i + 1])
+                rname, val = fields[i], _number(fields[i + 1], line_no)
                 if rname != obj_row and rname not in row_sense:
                     raise FormatError(f"entry for undeclared row {rname!r}", line_no)
                 entries.setdefault(cname, {})
@@ -226,7 +226,7 @@ def parse_mps(text: str) -> MixedBinaryInstance:
             for i in range(1, len(fields), 2):
                 if fields[i] != obj_row and fields[i] not in row_sense:
                     raise FormatError(f"rhs for undeclared row {fields[i]!r}", line_no)
-                rhs[fields[i]] = float(fields[i + 1])
+                rhs[fields[i]] = _number(fields[i + 1], line_no)
         elif section == "BOUNDS":
             tag = fields[0].upper()
             if tag in ("FR", "MI", "PL", "BV"):
@@ -236,7 +236,7 @@ def parse_mps(text: str) -> MixedBinaryInstance:
             elif tag in ("UP", "LO", "FX", "UI"):
                 if len(fields) < 4:
                     raise FormatError("bounds line wants 'type set col val'", line_no)
-                bounds.setdefault(fields[2], []).append((tag, float(fields[3]), line_no))
+                bounds.setdefault(fields[2], []).append((tag, _number(fields[3], line_no), line_no))
             else:
                 raise FormatError(f"unknown bound type {tag!r}", line_no)
         elif section == "ENDATA":

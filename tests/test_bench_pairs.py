@@ -24,11 +24,12 @@ def _runs(values):
 
 
 def test_compare_reads_direction_and_counts_ties_for_neither(tool):
-    better = tool.directions()
-    assert better["runs_per_s"] == "higher" and better["run_s_sgm"] == "lower"
+    metrics = tool.end_to_end()
+    assert metrics["runs_per_s"] == {"better": "higher", "bound": 0.25}
+    assert metrics["run_s_sgm"] == {"better": "lower", "bound": 0.25}
     parent = _runs({"runs_per_s": [10.0, 12.0, 11.0, 9.0], "run_s_sgm": [2.0, 3.0, 3.0, 5.0]})
     change = _runs({"runs_per_s": [11.0, 12.0, 10.0, 13.0], "run_s_sgm": [1.0, 3.0, 4.0, 4.0]})
-    out = tool.compare(parent, change, {k: better[k] for k in ("runs_per_s", "run_s_sgm")})
+    out = tool.compare(parent, change, {k: metrics[k] for k in ("runs_per_s", "run_s_sgm")})
 
     rate = out["runs_per_s"]
     assert rate["better"] == "higher" and rate["unit"] == "u"
@@ -42,6 +43,42 @@ def test_compare_reads_direction_and_counts_ties_for_neither(tool):
     # lower is better: 1<2 change, 3=3 tie, 4>3 parent, 4<5 change
     assert (time["parent"]["wins"], time["change"]["wins"]) == (1, 2)
     assert time["ratio"] == pytest.approx(3.5 / 3.0)
+
+
+_STEADY = [10.0, 10.1, 9.9, 10.0, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0]   # quartiles 9.925 and 10.075
+_NOISY = [7.0, 13.0, 8.0, 12.0, 10.0, 9.0, 11.0, 6.0, 14.0, 10.0]     # quartiles 8.25 and 11.75
+
+
+@pytest.mark.parametrize("better, parent, change, want", [
+    # the change wins all 10 pairs, by 1.0 against an IQR of 0.2
+    ("higher", _STEADY, [11.0] * 10, "gain"),
+    ("lower", _STEADY, [9.0] * 10, "gain"),
+    # 9 of 10 pairs are enough
+    ("higher", _STEADY, [11.0] * 9 + [9.0], "gain"),
+    # 8 of 10 are not, however far apart the medians
+    ("higher", _STEADY, [11.0] * 8 + [9.0] * 2, "within bound"),
+    # every pair won, but by less than the IQR
+    ("higher", _STEADY, [v + 0.1 for v in _STEADY], "within bound"),
+    # 30% worse against a bound of 25%
+    ("higher", _STEADY, [7.0] * 10, "worse"),
+    ("lower", _STEADY, [13.0] * 10, "worse"),
+    # worse beats unresolved: the host's noise does not excuse it
+    ("higher", _NOISY, [7.0] * 10, "worse"),
+    # an IQR of 3.5 > 0.25 * 10 and the runs overlap
+    ("higher", _NOISY, [v + 0.5 for v in _NOISY], "unresolved"),
+    ("lower", _NOISY, _NOISY, "unresolved"),
+    # a noisy parent (median 9.5, IQR 10), but every change run beats
+    # every parent run, by less than the IQR
+    ("higher", [0.0] * 4 + [9.0] + [10.0] * 5, [10.5] * 10, "within bound"),
+    ("lower", _NOISY, [5.5] * 8 + [5.0] * 2, "gain"),
+    # 20% worse is inside the bound
+    ("higher", _STEADY, [8.0] * 10, "within bound"),
+])
+def test_verdict_against_the_bound(tool, better, parent, change, want):
+    metrics = {"m": {"better": better, "bound": 0.25}}
+    out = tool.compare(_runs({"m": parent}), _runs({"m": change}), metrics)["m"]
+    assert out["verdict"] == want
+    assert out["bound"] == 0.25
 
 
 def test_a_single_pair_is_an_argument_error(tool, capsys, tmp_path):

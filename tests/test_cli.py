@@ -136,6 +136,22 @@ def test_missing_file_is_a_clean_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("kind", ["directory", "undecodable", "malformed"])
+def test_unreadable_instance_files_are_clean_errors(capsys, tmp_path, kind):
+    # a directory raised IsADirectoryError, a 0xFF byte UnicodeDecodeError
+    # and a non-numeric column count a bare ValueError
+    path = tmp_path / "inst.pl"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "undecodable":
+        path.write_bytes(b"pumplab 1\nname \xff\ncols 1 0\nend\n")
+    else:
+        path.write_text("pumplab 1\nname x\ncols a 0\nend\n")
+    rc, out, err = run_cli(capsys, "solve", "--alg", "wfp", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_gen_writes_loadable_file(tmp_path, capsys):
     path = tmp_path / "ss.pl"
     rc, out, err = run_cli(capsys, "gen", "--family", "subset-sum", "--k", "2",

@@ -94,6 +94,32 @@ def test_native_error_positions():
         read_native("pumplab 1\ncols 1 0\nend\n")           # no name
 
 
+@pytest.mark.parametrize("text, line_no", [
+    ("pumplab 1\nname x\ncols a 0\nend\n", 3),
+    ("pumplab 1\nname x\ncols 1 0\nrow <= abc b0:1\nend\n", 4),
+], ids=["cols", "rhs"])
+def test_native_bad_numbers_name_their_line(text, line_no):
+    # `cols a 0` and a non-numeric rhs used to raise a bare ValueError
+    with pytest.raises(FormatError) as e:
+        read_native(text)
+    assert e.value.line_no == line_no
+
+
+_MPS_HEAD = "NAME m\nROWS\n N  OBJ\n L  R0\nCOLUMNS\n"
+
+
+@pytest.mark.parametrize("text, line_no", [
+    (_MPS_HEAD + "    x0 R0 abc\nENDATA\n", 6),
+    (_MPS_HEAD + "    x0 R0 1.0\nRHS\n    RHS R0 1e\nENDATA\n", 8),
+    (_MPS_HEAD + "    x0 R0 1.0\nBOUNDS\n UP BND x0 zz\nENDATA\n", 8),
+], ids=["columns", "rhs", "bounds"])
+def test_mps_bad_numbers_name_their_line(text, line_no):
+    # a non-numeric COLUMNS, RHS or BOUNDS value used to raise a bare ValueError
+    with pytest.raises(FormatError) as e:
+        parse_mps(text)
+    assert e.value.line_no == line_no
+
+
 def test_mps_round_trip_drops_only_blocks():
     for inst in random_instances(60, 51):
         back = parse_mps(write_mps(inst))

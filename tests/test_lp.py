@@ -9,7 +9,8 @@ from oracles import enum_box_lp, lift_exists
 from pumplab.certificate import CertificateOracle, _lambda_problem
 from pumplab.errors import InstanceInfeasible, InvalidInstance, NotACertificate
 from pumplab.gen import BlockSpec, fractional_stall_instance, gen_decomposable, gen_subset_sum, zero_frac_stall_instance
-from pumplab.lp import AT_LOWER, AT_UPPER, BASIC, FREE, CompiledInstance, LpProblem, LpStatus, SimplexSolver
+from pumplab.lp import (_STATE_ARRAYS, AT_LOWER, AT_UPPER, BASIC, FREE, CompiledInstance, LpProblem,
+                        LpStatus, SimplexSolver)
 from pumplab.projection import ProjectionOracle
 from pumplab.pump import lift
 from pumplab.model import LinearRow, MixedBinaryInstance, Sense
@@ -401,17 +402,19 @@ def test_condensed_tableau_is_the_basis_solve_of_the_stored_columns(case):
 
 def _assert_price_state(solver):
     # the kept pricing state equals its recomputation from vstat, the
-    # bounds and the basis
+    # bounds and the basis; a fixed variable is one with equal bounds, read
+    # from them, not kept
     vstat, lower, upper = solver.vstat, solver.lower, solver.upper
     fixed = lower == upper
     priced = (vstat != BASIC) & ~fixed
     may_up = priced & ((vstat == AT_LOWER) | (vstat == FREE))
     may_dn = priced & ((vstat == AT_UPPER) | (vstat == FREE))
-    np.testing.assert_array_equal(solver.fixed, fixed)
-    np.testing.assert_array_equal(solver.price_up, np.where(may_up, -1.0, 0.0))
-    np.testing.assert_array_equal(solver.price_dn, np.where(may_dn, 1.0, 0.0))
-    np.testing.assert_array_equal(solver.basic_lower, lower[solver.basis])
-    np.testing.assert_array_equal(solver.basic_upper, upper[solver.basis])
+    want = {"price_up": np.where(may_up, -1.0, 0.0), "price_dn": np.where(may_dn, 1.0, 0.0),
+            "basic_lower": lower[solver.basis], "basic_upper": upper[solver.basis]}
+    assert set(want) <= set(_STATE_ARRAYS) and "fixed" not in _STATE_ARRAYS
+    for name in _STATE_ARRAYS:
+        if name in want:
+            np.testing.assert_array_equal(getattr(solver, name), want[name], err_msg=name)
 
 
 @settings(max_examples=200, deadline=None)
@@ -429,13 +432,53 @@ def test_kept_pricing_state_matches_a_recomputation(case):
         solver.resolve(c, maximize=maximize)
         _assert_price_state(solver)
     twin = solver.clone()
-    for name in ("fixed", "price_up", "price_dn", "basic_lower", "basic_upper"):
+    for name in _STATE_ARRAYS:
         assert not np.shares_memory(getattr(twin, name), getattr(solver, name)), name
     _assert_price_state(twin)
     for c, maximize in objectives[half:]:
         for s in (twin, solver):
             s.resolve(c, maximize=maximize)
             _assert_price_state(s)
+
+
+_SCALARS = {"m", "nstruct", "N", "_phase1_done", "_feasible"}
+
+
+def _assert_state_is_explicit(solver):
+    # the state arrays and five scalars are all a solver holds
+    assert set(vars(solver)) == set(_STATE_ARRAYS) | _SCALARS
+    for name in _STATE_ARRAYS:
+        assert isinstance(getattr(solver, name), np.ndarray), name
+
+
+def _assert_disjoint(a, b):
+    for x in vars(a).values():
+        for y in vars(b).values():
+            if isinstance(x, np.ndarray) and isinstance(y, np.ndarray):
+                assert not np.shares_memory(x, y)
+
+
+def test_solver_state_is_the_state_arrays_and_clones_share_none():
+    rng = make_rng(31)
+    for case in range(24):
+        m, n = (int(rng.integers(6, 12)), int(rng.integers(10, 20))) if case % 4 == 3 else (
+            int(rng.integers(1, 5)), int(rng.integers(1, 7)))
+        solver = SimplexSolver(_seeded_lp(rng, m, n))
+        _assert_state_is_explicit(solver)
+        if not solver.ensure_phase1():
+            _assert_state_is_explicit(solver)
+            continue
+        _assert_state_is_explicit(solver)
+        twins = [solver.clone(), solver.clone()]
+        for s in (solver, *twins):
+            for _ in range(3):
+                s.resolve(rng.integers(-3, 4, n).astype(float), maximize=bool(rng.integers(2)))
+            _assert_state_is_explicit(s)
+        grandchild = twins[0].clone()
+        _assert_disjoint(twins[0], solver)
+        _assert_disjoint(twins[1], solver)
+        _assert_disjoint(twins[0], twins[1])
+        _assert_disjoint(grandchild, twins[0])
 
 
 def _highs(problem, c, maximize, linprog):

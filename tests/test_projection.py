@@ -12,6 +12,7 @@ from pumplab.gen import (
     gen_subset_sum,
     zero_frac_stall_instance,
 )
+from pumplab.lp import _STATE_ARRAYS
 from pumplab.model import LinearRow, MixedBinaryInstance, Sense
 from pumplab.perturb import make_rng
 from pumplab.projection import ProjectionOracle, alt_proj_star, as_binary, round_binary
@@ -198,7 +199,7 @@ def test_oracles_share_no_memo_or_solver_state():
     inst = gen_subset_sum(3, 4, make_rng(15)).instance
     a, b = ProjectionOracle(inst), ProjectionOracle(inst)
     assert a.cache is not b.cache
-    for name in ("T", "rhs_col", "val", "vstat", "basis", "lower", "upper", "phase1_cost"):
+    for name in _STATE_ARRAYS:
         assert not np.shares_memory(getattr(a.solver, name), getattr(b.solver, name)), name
     a.entry(np.ones(inst.n, dtype=np.int8))
     assert len(a.cache) == 1 and not b.cache

@@ -8,10 +8,22 @@ first in even pairs and the change first in odd ones, so a drift in the
 host's speed falls on both sides alike. For every end-to-end metric the
 summary records, per side, the median, the quartiles, the raw values and
 the number of pairs that side won (by the direction in BENCHMARK.json;
-a tie counts for neither), plus the ratio of the medians. It also records
-whether every run was correct, the share of failed runs and whether each
-pair's fingerprints were equal. `--workload` may be given more than once;
-an existing `--out` file keeps its other workloads' entries.
+a tie counts for neither), plus the ratio of the medians and a verdict
+against the metric's bound in BENCHMARK.json:
+
+- `gain`: the change won at least 9 pairs in 10 and its median is better
+  than the parent's by more than the parent's interquartile range;
+- `worse`: the change's median is worse than the parent's by more than
+  bound times the parent's median;
+- `unresolved`: the parent's interquartile range exceeds bound times its
+  median, and not every change run beats every parent run, so the pairs
+  cannot tell a change of the bound's size from the host's noise;
+- `within bound` otherwise.
+
+It also records whether every run was correct, the share of failed runs
+and whether each pair's fingerprints were equal. `--workload` may be
+given more than once; an existing `--out` file keeps its other
+workloads' entries.
 """
 
 from __future__ import annotations
@@ -28,11 +40,12 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
 
-def directions() -> dict:
-    """Which way is better ("higher" or "lower") for each end-to-end
-    metric of BENCHMARK.json."""
+def end_to_end() -> dict:
+    """Each end-to-end metric of BENCHMARK.json: which way is better
+    ("higher" or "lower") and its bound, a share of the parent's median."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        return {m["name"]: {"better": m["better"], "bound": m["bound"]}
+                for m in json.load(fh)["end_to_end"]}
 
 
 def _pair_count(text: str) -> int:
@@ -58,18 +71,37 @@ def summarize(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def compare(parent: list[dict], change: list[dict], better: dict) -> dict:
+def verdict(side: dict, sign: float, bound: float) -> str:
+    """The verdict of one metric (see the module docstring) from its two
+    summaries; sign is +1 where higher is better and -1 where lower is."""
+    p, c = side["parent"], side["change"]
+    spread = p["q3"] - p["q1"]
+    margin = bound * abs(p["median"])
+    gain = sign * (c["median"] - p["median"])
+    if 10 * c["wins"] >= 9 * len(p["values"]) and gain > spread:
+        return "gain"
+    if -gain > margin:
+        return "worse"
+    every = min(sign * v for v in c["values"]) > max(sign * v for v in p["values"])
+    if spread > margin and not every:
+        return "unresolved"
+    return "within bound"
+
+
+def compare(parent: list[dict], change: list[dict], metrics: dict) -> dict:
     out = {}
-    for name, direction in better.items():
+    for name, rule in metrics.items():
         p = [r["metrics"][name]["value"] for r in parent]
         c = [r["metrics"][name]["value"] for r in change]
-        sign = 1.0 if direction == "higher" else -1.0
+        sign = 1.0 if rule["better"] == "higher" else -1.0
         side = {"parent": summarize(p), "change": summarize(c)}
         side["parent"]["wins"] = sum(sign * (a - b) > 0 for a, b in zip(p, c))
         side["change"]["wins"] = sum(sign * (b - a) > 0 for a, b in zip(p, c))
         pm = side["parent"]["median"]
-        out[name] = {"better": direction, "unit": parent[0]["metrics"][name]["unit"], **side,
-                     "ratio": side["change"]["median"] / pm if pm else None}
+        out[name] = {"better": rule["better"], "bound": rule["bound"],
+                     "unit": parent[0]["metrics"][name]["unit"], **side,
+                     "ratio": side["change"]["median"] / pm if pm else None,
+                     "verdict": verdict(side, sign, rule["bound"])}
     return out
 
 
@@ -84,7 +116,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
-    better = directions()
+    metrics = end_to_end()
     report = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
@@ -112,8 +144,10 @@ def main(argv=None) -> int:
             "fingerprints_equal": all(p["fingerprint"] == c["fingerprint"]
                                       for p, c in zip(runs["parent"], runs["change"])),
             "fingerprint": runs["change"][0]["fingerprint"],
-            "metrics": compare(runs["parent"], runs["change"], better),
+            "metrics": compare(runs["parent"], runs["change"], metrics),
         }
+        print(f"{workload}: " + ", ".join(f"{name} {m['verdict']}" for name, m in
+                                          workloads[workload]["metrics"].items()), file=sys.stderr)
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=1)
             fh.write("\n")
