@@ -12,6 +12,13 @@ run whose wall time exceeds the time limit gets outcome "timeout" after
 the fact. Everything except the wall_time_s column is deterministic for
 a fixed config (assuming no run straddles the time limit).
 
+Tasks run instance by instance, so the runs on one instance share its
+compiled view and the prefix chain of its projection LP (see
+`pumplab.lp`): all but the first resolve nothing before their first
+random draw. A chain hit gives the answer the resolve would give, so
+neither the order of the tasks nor their split among workers changes a
+row.
+
 CSV columns, in order: instance, algorithm, seed, outcome, iterations,
 perturbations, restarts, wall_time_s. Header row, UTF-8, LF endings.
 """

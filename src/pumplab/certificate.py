@@ -95,7 +95,7 @@ class CertificateOracle:
         self.instance = instance
         self.view = CompiledInstance.of(instance)
         if instance.d:
-            self.solver = self.view.solver(_lambda_problem)
+            self.solver = self.view.solver(_lambda_problem).clone()
             # infeasible lambda-LP means no certificate can exist for any point
             self.possible = self.solver.ensure_phase1()
         else:

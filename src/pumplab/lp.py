@@ -39,7 +39,18 @@ CompiledInstance holds that per-instance state: the normalized instance,
 its dense rows, and the solvers of the LPs built on them, after phase 1.
 `CompiledInstance.of` keeps one view, the most recent instance's, so the
 state of one instance does not outlive the runs on the next. Memo tables
-stay with each oracle, so no answer depends on the order of runs.
+stay with each oracle. The view also keeps the projection LP's prefix
+chain: node i holds the key of a run's i-th resolve, the oracle's answer
+and a clone of the solver after it. A resolve's answer and the state it
+leaves depend only on the base solver and the costs resolved since, so a
+run whose resolves so far match nodes 0..i-1 and whose next key is node
+i's may take node i's answer without resolving. Every run on an instance
+makes the same resolves until its first random draw, so all but the
+first share them. A run follows the chain while its keys match, extends
+it at its tip, and on a mismatch or before its first draw leaves it for
+good from a clone of the last node it matched. A node is added only once
+its resolve and answer have succeeded. So no answer depends on the order
+of runs, and a run that raises raises again on the next run.
 
 Pivot update: when j enters at row r and k leaves, k's unit column e_r
 is written into j's slot before the divide and the rank-1 update, which
@@ -82,7 +93,7 @@ import copy
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -94,6 +105,9 @@ COST_TOL = 1e-9      # reduced-cost optimality threshold
 ROW_TOL = 1e-9       # row slack of feasibility; certificates must violate by more
 PIVOT_TOL = 1e-8     # preferred minimum pivot magnitude
 DEGEN_TOL = 1e-12    # steps at or below this count as degenerate
+ABSORB_TOL = 1e-12   # a slack absorbs a residual this far outside its bounds
+RATIO_TOL = 1e-11    # the ratio test skips rows whose |pivot column entry| is at most this
+SNAP_TOL = 1e-9      # a value this close to a bound is returned as the bound
 _REFRESH_EVERY = 200
 
 
@@ -217,7 +231,7 @@ class SimplexSolver:
         s_cols = np.arange(n, n + m)
         a_cols = s_cols + m
         lo_s, up_s = lower[s_cols], upper[s_cols]
-        absorb = (lo_s - 1e-12 <= resid) & (resid <= up_s + 1e-12)
+        absorb = (lo_s - ABSORB_TOL <= resid) & (resid <= up_s + ABSORB_TOL)
         clipped = np.where(np.isfinite(lo_s) & np.isfinite(up_s),
                            np.minimum(np.maximum(resid, lo_s), up_s), resid)
         parked = np.where(resid > up_s, up_s, lo_s)
@@ -302,7 +316,7 @@ class SimplexSolver:
                 vb = val[basis]
                 size = np.abs(delta)
                 limits.fill(np.inf)
-                np.divide(np.where(delta > 0, vb - blo, bup - vb), size, out=limits, where=size > 1e-11)
+                np.divide(np.where(delta > 0, vb - blo, bup - vb), size, out=limits, where=size > RATIO_TOL)
                 np.maximum(limits, 0.0, out=limits)
                 t_row = float(limits.min())
             else:
@@ -447,11 +461,21 @@ class SimplexSolver:
         return LpSolution(LpStatus.UNBOUNDED, x, None)
 
     def _snapped_x(self) -> np.ndarray:
-        # an infinite bound is never within 1e-9 of x
+        # an infinite bound is never within SNAP_TOL of x
         lo, up = self.lower[: self.nstruct], self.upper[: self.nstruct]
         x = self.val[: self.nstruct]
-        x = np.where(np.abs(x - lo) <= 1e-9, lo, x)
-        return np.where(np.abs(x - up) <= 1e-9, up, x)
+        x = np.where(np.abs(x - lo) <= SNAP_TOL, lo, x)
+        return np.where(np.abs(x - up) <= SNAP_TOL, up, x)
+
+
+class ChainNode(NamedTuple):
+    """One resolve shared by the runs on an instance: its key, the answer
+    the oracle built from it, and the solver state it left. The solver is
+    only ever cloned, never resolved again."""
+
+    key: object
+    answer: object
+    solver: SimplexSolver
 
 
 class CompiledInstance:
@@ -459,9 +483,11 @@ class CompiledInstance:
 
     norm is the normalized instance and A (binary columns), B (continuous
     columns) and b its dense rows, read-only; `violated_rows` is the one
-    test of a point against them. solver(build) returns a clone of the
-    solver of the LpProblem build(view) describes, after phase 1, which
-    runs when the first clone is asked for. Views come from `of`.
+    test of a point against them. solver(build) returns the solver of the
+    LpProblem build(view) describes, after phase 1, which runs when it is
+    first asked for; it is shared, so callers resolve only clones of it.
+    `chain` is the projection LP's prefix chain of ChainNodes (see the
+    module docstring). Views come from `of`.
     """
 
     _last: Optional["CompiledInstance"] = None
@@ -474,12 +500,13 @@ class CompiledInstance:
             arr.flags.writeable = False
         self.A, self.B, self.b = A, B, b
         self._solvers: dict = {}
+        self.chain: list[ChainNode] = []
 
     @classmethod
     def of(cls, instance: MixedBinaryInstance) -> "CompiledInstance":
         """The view of instance. Only the most recent instance's view is
         kept (instances compared with `is`): building another instance's
-        view drops it."""
+        view drops it, its chain included."""
         view = cls._last
         if view is None or view.instance is not instance:
             cls._last = None       # let the old view go before building
@@ -499,5 +526,4 @@ class CompiledInstance:
             base = SimplexSolver(build(self))
             base.ensure_phase1()
             self._solvers[build] = base
-        return base.clone()
-
+        return base

@@ -10,22 +10,37 @@ simplex (the constraint system never changes, only the cost row), cloned
 from the instance's compiled solver after phase 1, and memoizes every
 distinct x~ it has projected, so pump loops that revisit a rounded point
 pay a dict lookup instead of an LP solve.
+
+On a memo miss, and for the relaxation, the oracle first follows the
+view's prefix chain (see `pumplab.lp`): the relaxation's key is a marker
+and a projection's its point's bytes. A match takes the node's answer
+without resolving; it still enters the memo and counts in `lp_solves`,
+which counts resolves and chain hits alike. An oracle on the chain holds
+no solver of its own: it clones one when it extends the chain or, after
+`leave_chain` or a mismatch, at its next miss. The drivers leave before
+their first draw, so the chain holds only the deterministic prefix of
+the runs, at most CHAIN_CAP resolves: the runs of the three benchmark
+workloads and of criterion 10's grid make 0 to 5 resolves before their
+first draw, and naive, which never draws, stops at the cap. Answers the
+chain hands out are shared between runs, so their arrays are read-only.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import InstanceInfeasible, NoFixpoint, NonBinaryVector
-from .lp import CompiledInstance, LpProblem, LpStatus
+from .lp import ChainNode, CompiledInstance, LpProblem, LpStatus, SimplexSolver
 from .model import MixedBinaryInstance, Sense, dense_objective
 # perfbench/tracing.py wraps these two names in this module's namespace
 from .model import dense_rows, normalize  # noqa: F401
 
 ROUND_SNAP = 1e-9
 INT_TOL = 1e-6
+CHAIN_CAP = 8              # the most resolves a view's prefix chain holds
+_RELAXATION = "relaxation"  # the chain key of the relaxation; a projection's is its point's bytes
 _INT8 = np.dtype(np.int8)
 
 
@@ -79,31 +94,71 @@ def _projection_problem(view: CompiledInstance) -> LpProblem:
 
 
 class ProjectionOracle:
-    """Warm LP engine + memo table for one instance's l1 projections."""
+    """Warm LP engine + memo table for one instance's l1 projections,
+    following the view's prefix chain (see the module docstring)."""
 
     def __init__(self, instance: MixedBinaryInstance):
         self.instance = instance
         self.view = CompiledInstance.of(instance)
         self.n, self.d = instance.n, instance.d
-        self.solver = self.view.solver(_projection_problem)
-        if not self.solver.ensure_phase1():
+        base = self.view.solver(_projection_problem)
+        if not base.ensure_phase1():
             raise InstanceInfeasible(f"instance {instance.name!r} has an empty relaxation")
         self.cache: dict[bytes, ProjectionEntry] = {}
-        self.lp_solves = 0
+        self.lp_solves = 0         # resolves and chain hits alike
+        self.solver: Optional[SimplexSolver] = None    # this oracle's own, once it has one
+        self._state = base         # the shared state it would clone: the base or a node's
+        self._depth: Optional[int] = 0     # chain nodes matched; None once off the chain
+
+    def leave_chain(self) -> None:
+        """Go on alone from the last chain node matched, for good. The
+        drivers call it before their first random draw."""
+        self._depth = None
+
+    def _resolve(self, key, compute):
+        # compute(solver) for the next resolve, keyed by key: taken from
+        # the chain while this oracle's resolves match it, added to it at
+        # its tip, otherwise computed on the oracle's own clone
+        depth = self._depth
+        if depth is not None:
+            chain = self.view.chain
+            if depth < len(chain):
+                node = chain[depth]
+                if node.key == key:
+                    self._depth, self._state = depth + 1, node.solver
+                    return node.answer
+            elif depth < CHAIN_CAP:
+                # until compute returns, the oracle is off the chain with
+                # this clone, so a raise leaves the chain as it was
+                solver = self.solver = self._state.clone()
+                self._depth = None
+                answer = compute(solver)
+                chain.append(ChainNode(key, answer, solver))
+                self._depth, self._state, self.solver = depth + 1, solver, None
+                return answer
+            self._depth = None
+        if self.solver is None:
+            self.solver = self._state.clone()
+        return compute(self.solver)
 
     def relaxation(self) -> tuple[np.ndarray, np.ndarray]:
-        """An optimal vertex of the relaxation (zero objective when absent).
+        """An optimal vertex of the relaxation (zero objective when absent),
+        as read-only arrays that other runs on the instance may share.
 
         Falls back to a zero-objective vertex if the stated objective is
         unbounded over the relaxation.
         """
-        cb, cc = dense_objective(self.instance)
-        c = np.concatenate([cb, cc])
-        sol = self.solver.resolve(c, maximize=True)
-        if sol.status is not LpStatus.OPTIMAL:
-            sol = self.solver.resolve(np.zeros(self.n + self.d), maximize=False)
+        out = self._resolve(_RELAXATION, self._relax)
         self.lp_solves += 1
-        return sol.x[: self.n].copy(), sol.x[self.n :].copy()
+        return out
+
+    def _relax(self, solver: SimplexSolver) -> tuple[np.ndarray, np.ndarray]:
+        cb, cc = dense_objective(self.instance)
+        sol = solver.resolve(np.concatenate([cb, cc]), maximize=True)
+        if sol.status is not LpStatus.OPTIMAL:
+            sol = solver.resolve(np.zeros(self.n + self.d), maximize=False)
+        sol.x.flags.writeable = False
+        return sol.x[: self.n], sol.x[self.n :]
 
     def entry(self, x_tilde) -> ProjectionEntry:
         """The memoized projection of x_tilde; NonBinaryVector unless it is
@@ -118,20 +173,22 @@ class ProjectionOracle:
         # one byte per entry: deleting the bytes 0 and 1 leaves nothing
         if key.translate(None, b"\x00\x01"):
             raise NonBinaryVector("expected an exact 0/1 vector")
-        return self._solve(np.ascontiguousarray(x_tilde).reshape(-1), key)
-
-    def _solve(self, arr: np.ndarray, key: bytes) -> ProjectionEntry:
-        c = np.concatenate([1.0 - 2.0 * arr, np.zeros(self.d)])
-        sol = self.solver.resolve(c, maximize=False)
-        # bounded objective over [0,1]^n, so OPTIMAL is the only possibility
-        x_bar = sol.x[: self.n]
-        y_bar = sol.x[self.n :]
-        distance = float(sol.objective + int(arr.sum()))
-        rounded = round_binary(x_bar)
-        entry = ProjectionEntry(x_bar, y_bar, distance, rounded, rounded.tobytes(), is_integral(x_bar, rounded))
-        self.cache[key] = entry
+        arr = np.ascontiguousarray(x_tilde).reshape(-1)
+        entry = self.cache[key] = self._resolve(key, lambda solver: self._project(solver, arr))
         self.lp_solves += 1
         return entry
+
+    def _project(self, solver: SimplexSolver, arr: np.ndarray) -> ProjectionEntry:
+        c = np.concatenate([1.0 - 2.0 * arr, np.zeros(self.d)])
+        sol = solver.resolve(c, maximize=False)
+        # bounded objective over [0,1]^n, so OPTIMAL is the only possibility
+        sol.x.flags.writeable = False
+        x_bar = sol.x[: self.n]
+        distance = float(sol.objective + int(arr.sum()))
+        rounded = round_binary(x_bar)
+        rounded.flags.writeable = False
+        return ProjectionEntry(x_bar, sol.x[self.n :], distance, rounded, rounded.tobytes(),
+                               is_integral(x_bar, rounded))
 
     def pair_feasible(self, x, y) -> bool:
         """(x, y) violates no normalized row (CompiledInstance.violated_rows)."""

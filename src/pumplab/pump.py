@@ -149,7 +149,7 @@ def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, rec
     x_bar, y_bar = oracle.relaxation()
     cur = round_binary(x_bar)
     if not wfp and is_integral(x_bar, cur):
-        return _found(trace, 0, MixedPoint(x_bar, y_bar), record)
+        return _found(trace, 0, MixedPoint(x_bar.copy(), y_bar.copy()), record)
     if record:
         records.append(TraceRecord(0, "round"))
     prev_key = cur.tobytes()
@@ -174,6 +174,7 @@ def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, rec
             if record:
                 records.append(TraceRecord(t, "stall"))
             if not naive:
+                oracle.leave_chain()
                 if wfp:
                     if certs is None:
                         certs = CertificateOracle(instance)
@@ -192,6 +193,7 @@ def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, rec
                     records.append(TraceRecord(t, "perturb", out.kind, out.flipped))
                 nxt, new_key = out.x_new, out.x_new.tobytes()
         elif wfpbase and new_key in visited:
+            oracle.leave_chain()
             out = restart_perturb(nxt, e.x_bar, rng)
             trace.restarts += 1
             if record:
@@ -274,6 +276,7 @@ def run_mb_walksat(
     if rng is None:
         raise ValueError("rng is required")
     oracle = ProjectionOracle(instance)  # validates feasibility, lifts the found point
+    oracle.leave_chain()                  # the walk's points are drawn
     certs = CertificateOracle(instance)
     trace = PumpTrace("mbwalksat", instance.name, None)
     if start is None:
@@ -327,6 +330,7 @@ def run_wfp_compressed(
             cert = certs.min_certificate(z)
         except NotACertificate:
             return _found(trace, t, lift(oracle, z), record)
+        oracle.leave_chain()
         out = perturb_l(z, cert, l, rng)
         trace.perturbations += 1
         if record:

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py, loaded by path: the summary of paired runs."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -88,3 +89,67 @@ def test_a_single_pair_is_an_argument_error(tool, capsys, tmp_path):
     assert e.value.code == 2
     assert "--pairs" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def _sweeps(walls, hashes, errors=31):
+    return [{"wall_s": w, "sha256": h, "rows": 200, "errors": errors} for w, h in zip(walls, hashes)]
+
+
+def test_main_sweep_summary_reads_hashes_and_wall_time(tool):
+    parent = _sweeps([60.0, 62.0, 59.0, 61.0], ["a"] * 4)
+    change = _sweeps([45.0, 47.0, 61.0, 40.0], ["a"] * 4)
+    out = tool.sweep_summary(parent, change)
+    assert out["pairs"] == 4 and out["rows"] == 200
+    assert out["sha256_equal"] and out["sha256"] == ["a"]
+    assert out["errors"] == {"parent": [31], "change": [31]}
+    wall = out["wall_s"]
+    # lower is better: the change wins three pairs, the parent one
+    assert (wall["parent"]["wins"], wall["change"]["wins"]) == (1, 3)
+    assert wall["parent"]["median"] == 60.5 and wall["change"]["median"] == 46.0
+    assert (wall["parent"]["q1"], wall["parent"]["q3"]) == (59.75, 61.25)
+    assert wall["ratio"] == pytest.approx(46.0 / 60.5)
+    assert "verdict" not in wall
+
+
+def test_main_sweep_summary_reports_any_other_hash(tool):
+    parent = _sweeps([60.0, 62.0], ["a", "a"])
+    change = _sweeps([45.0, 47.0], ["a", "b"], errors=0)
+    out = tool.sweep_summary(parent, change)
+    assert not out["sha256_equal"] and out["sha256"] == ["a", "b"]
+    assert out["errors"] == {"parent": [31], "change": [0]}
+
+
+def test_main_sweep_is_every_fifth_grid_instance(tool):
+    from pumplab.bench import two_stage_suite
+
+    cfg = tool.sweep_config()
+    assert [i.name for i in cfg.instances] == [i.name for i in two_stage_suite()[::5]]
+    assert len(cfg.instances) == 10
+    assert cfg.algorithms == ("orig", "wfpbase") and cfg.seeds == tuple(range(1, 11))
+    assert cfg.workers == 1 and cfg.time_limit == float("inf") and cfg.max_iter == 400
+
+
+def test_main_sweep_runs_each_tree_in_its_own_interpreter(tool, monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        calls.append((cmd, cwd, env["PYTHONPATH"]))
+        wall = 60.0 if cwd == "parent-tree" else 45.0
+        return type("Done", (), {"stdout": f'{{"wall_s": {wall}, "sha256": "a", "rows": 200, "errors": 31}}\n'})
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    out = tmp_path / "out.json"
+    assert tool.main(["--parent", "parent-tree", "--change", "change-tree", "--main-sweep",
+                      "--pairs", "2", "--out", str(out)]) == 0
+    assert [cwd for _, cwd, _ in calls] == ["parent-tree", "change-tree", "change-tree", "parent-tree"]
+    assert all(cmd[-1] == "--sweep-once" and path.endswith("src") for cmd, _, path in calls)
+    report = json.loads(out.read_text())
+    assert "workloads" not in report or not report["workloads"]
+    assert report["main_sweep"]["sha256_equal"] and report["main_sweep"]["wall_s"]["change"]["wins"] == 2
+
+
+def test_no_workload_and_no_sweep_is_an_argument_error(tool, capsys, tmp_path):
+    with pytest.raises(SystemExit) as e:
+        tool.main(["--parent", str(tmp_path), "--out", str(tmp_path / "out.json")])
+    assert e.value.code == 2
+    assert "--main-sweep" in capsys.readouterr().err

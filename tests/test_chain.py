@@ -1,0 +1,182 @@
+"""The prefix chain: runs on one instance share the resolves before their
+first random draw, and every answer is the one a fresh view gives."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from pumplab import pump
+from pumplab.bench import BenchConfig, run_benchmark, two_stage_suite, write_csv
+from pumplab.errors import PumpLabError
+from pumplab.gen import BlockSpec, gen_decomposable, gen_subset_sum
+from pumplab.lp import _STATE_ARRAYS, CompiledInstance, SimplexSolver
+from pumplab.model import LinearRow, MixedBinaryInstance, Sense
+from pumplab.perturb import make_rng
+from pumplab.projection import CHAIN_CAP, ProjectionOracle, _projection_problem
+
+
+@pytest.fixture
+def resolves(monkeypatch):
+    """A list that grows by one at every SimplexSolver.resolve call."""
+    calls = []
+    resolve = SimplexSolver.resolve
+
+    def counted(solver, *args, **kwargs):
+        calls.append(solver)
+        return resolve(solver, *args, **kwargs)
+
+    monkeypatch.setattr(SimplexSolver, "resolve", counted)
+    return calls
+
+
+def _lines(alg, instance, rng):
+    return pump.run(alg, instance, rng, max_iter=200).to_lines()
+
+
+def _points(n, codes):
+    # the 0/1 points whose bits, lowest first, spell each code
+    return [np.array([(code >> b) & 1 for b in range(n)], dtype=np.int8) for code in codes]
+
+
+def test_second_run_on_a_view_resolves_less_with_the_same_trace(resolves):
+    inst = two_stage_suite(ks=(5,), ps=(10,), per_config=1)[0]
+    view = CompiledInstance.of(inst)
+    _lines("wfpbase", inst, make_rng(1))
+    made = len(resolves)
+    second = _lines("wfpbase", inst, make_rng(2))
+    on_view = len(resolves) - made
+    fresh = _lines("wfpbase", replace(inst), make_rng(2))
+    alone = len(resolves) - made - on_view
+    assert second == fresh
+    # the chain holds the resolves before the first draw, the relaxation
+    # and at least one projection, and the second run makes none of them
+    assert len(view.chain) >= 2
+    assert alone - on_view == len(view.chain)
+
+
+def test_rows_do_not_depend_on_the_order_of_runs():
+    instances = two_stage_suite(ks=(5,), ps=(10, 20), per_config=1)
+
+    def rows(seeds):
+        cfg = BenchConfig(instances, algorithms=("orig", "wfpbase"), seeds=seeds, max_iter=200, workers=1)
+        return write_csv(run_benchmark(cfg).rows, include_timing=False)
+
+    # the sweep runs the seeds of each (instance, algorithm) in the given
+    # order, and the rows are sorted
+    assert rows((1, 2, 3)) == rows((3, 2, 1))
+
+
+@pytest.mark.parametrize("rep", [0, 1])
+def test_every_variant_traces_as_on_a_fresh_view(rep):
+    inst = two_stage_suite(ks=(5,), ps=(10,), per_config=2)[rep]
+    algs = list(pump.ALGORITHMS)
+    fresh = {alg: _lines(alg, replace(inst), make_rng(5, i)) for i, alg in enumerate(algs)}
+    for order in (algs, algs[::-1], algs[1::2] + algs[::2]):
+        shared = replace(inst)
+        for alg in order:
+            assert _lines(alg, shared, make_rng(5, algs.index(alg))) == fresh[alg], alg
+
+
+def test_known_error_repeats_along_the_chain():
+    # every run on this instance raises: a pivot on a tiny ratio-test entry
+    # sends a projection out of the box. The chain must not turn the error
+    # into another one, or into an answer
+    suite = two_stage_suite()
+    i = next(i for i, inst in enumerate(suite) if inst.name == "two-stage-k45-p10-r4")
+
+    def raised(instance, a, alg):
+        with pytest.raises(PumpLabError) as err:
+            pump.run(alg, instance, make_rng(1, i, a), max_iter=400, record=False)
+        return type(err.value).__name__, str(err.value)
+
+    algs = ("orig", "wfpbase")
+    on_one_view = [raised(suite[i], a, alg) for a, alg in enumerate(algs)]
+    on_fresh_views = [raised(replace(suite[i]), a, alg) for a, alg in enumerate(algs)]
+    assert on_one_view == on_fresh_views
+    assert on_one_view[0][0] == "NonBinaryVector"
+
+
+def test_shared_answers_are_read_only():
+    inst = gen_decomposable(2, BlockSpec(n=3, d=1, rows=2, s=2), make_rng(8)).instance
+    point = np.ones(inst.n, dtype=np.int8)
+    a = ProjectionOracle(inst)
+    relaxed, e = a.relaxation(), a.entry(point)
+    b = ProjectionOracle(inst)
+    assert all(x is y for x, y in zip(b.relaxation(), relaxed)) and b.entry(point) is e
+    # a hit enters the memo and counts as a solve, as a resolve does
+    assert b.lp_solves == 2 and list(b.cache.values()) == [e]
+    for arr in (*relaxed, e.x_bar, e.y_bar, e.rounded):
+        assert arr.size and not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_a_point_found_by_the_relaxation_is_the_runs_own():
+    # no objective: the relaxation's vertex (0, 0) is integral
+    rows = (LinearRow({0: 1.0, 1: 1.0}, {}, Sense.LE, 1.0),)
+    inst = MixedBinaryInstance(name="corner", n=2, d=0, rows=rows)
+    relaxed = ProjectionOracle(inst).relaxation()
+    trace = pump.run("orig", inst, make_rng(0), max_iter=10)
+    assert trace.found and trace.iterations == 0
+    assert trace.point.x.flags.writeable
+    assert not np.shares_memory(trace.point.x, relaxed[0])
+
+
+def test_serial_and_forked_sweeps_agree():
+    instances = two_stage_suite(ks=(5,), ps=(10,), per_config=2) + [
+        gen_decomposable(3, BlockSpec(n=4, d=1, rows=3, s=2), make_rng(4)).instance]
+
+    def csv(workers):
+        cfg = BenchConfig(instances, algorithms=tuple(pump.ALGORITHMS), seeds=(1, 2, 3),
+                          max_iter=150, workers=workers)
+        return write_csv(run_benchmark(cfg).rows, include_timing=False)
+
+    assert csv(1) == csv(2)
+
+
+def test_chain_is_capped(resolves):
+    inst = gen_subset_sum(2, 6, make_rng(3)).instance
+    points = _points(inst.n, range(2 * CHAIN_CAP))
+
+    def walk():
+        oracle = ProjectionOracle(inst)
+        oracle.relaxation()
+        return [oracle.entry(x) for x in points]
+
+    first = walk()
+    assert len(CompiledInstance.of(inst).chain) == CHAIN_CAP
+    made = len(resolves)
+    assert [e.x_bar.tobytes() for e in walk()] == [e.x_bar.tobytes() for e in first]
+    assert len(resolves) - made == 1 + len(points) - CHAIN_CAP
+
+
+def test_shared_solver_states_never_change():
+    inst = gen_subset_sum(2, 6, make_rng(3)).instance
+    view = CompiledInstance.of(inst)
+    points = _points(inst.n, (5, 9, 17, 33))
+
+    def walk(pts):
+        oracle = ProjectionOracle(inst)
+        oracle.relaxation()
+        return [oracle.entry(x).x_bar.tobytes() for x in pts]
+
+    def states():
+        return [[getattr(s, name).tobytes() for name in _STATE_ARRAYS] for s in shared]
+
+    first = walk(points[:2])
+    shared = [view.solver(_projection_problem)] + [node.solver for node in view.chain]
+    before = states()
+    # follow, then extend; follow, then leave on a mismatch
+    assert walk(points)[:2] == first
+    walk(points[:1] + points[3:])
+    assert len(view.chain) == 5
+    assert states() == before
+
+
+def test_the_walk_leaves_the_chain_at_once():
+    # mbwalksat draws its start, and lifts its point through a projection
+    inst = gen_decomposable(3, BlockSpec(n=4, d=1, rows=3, s=2), make_rng(4)).instance
+    view = CompiledInstance.of(inst)
+    trace = pump.run("mbwalksat", inst, make_rng(3), max_iter=500)
+    assert trace.found and view.chain == []

@@ -199,10 +199,14 @@ def test_oracles_share_no_memo_or_solver_state():
     inst = gen_subset_sum(3, 4, make_rng(15)).instance
     a, b = ProjectionOracle(inst), ProjectionOracle(inst)
     assert a.cache is not b.cache
-    for name in _STATE_ARRAYS:
-        assert not np.shares_memory(getattr(a.solver, name), getattr(b.solver, name)), name
+    # off the chain, each oracle resolves a clone of its own
+    a.leave_chain()
+    b.leave_chain()
     a.entry(np.ones(inst.n, dtype=np.int8))
     assert len(a.cache) == 1 and not b.cache
+    b.entry(np.zeros(inst.n, dtype=np.int8))
+    for name in _STATE_ARRAYS:
+        assert not np.shares_memory(getattr(a.solver, name), getattr(b.solver, name)), name
 
 
 def test_alternating_instances_give_fresh_oracle_entries():

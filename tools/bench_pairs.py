@@ -24,17 +24,30 @@ It also records whether every run was correct, the share of failed runs
 and whether each pair's fingerprints were equal. `--workload` may be
 given more than once; an existing `--out` file keeps its other
 workloads' entries.
+
+    python3 tools/bench_pairs.py --parent ../parent --main-sweep --pairs 5 --out BENCH_9.json
+
+`--main-sweep` also runs the main sweep in alternating pairs: every fifth
+instance of `two_stage_suite()` (acceptance criterion 10's grid) with
+`orig` and `wfpbase`, run seeds 1-10, one worker and no time limit, in a
+fresh interpreter per run whose `src/` is the tree's. It records, under
+`main_sweep`, whether every run's timing-stripped CSV has the same
+sha256, the error rows, and the median, quartiles, raw values and wins
+of the sweep's wall time. It sets no bound and gives no verdict.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import math
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -71,6 +84,15 @@ def summarize(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def paired(p: list[float], c: list[float], sign: float) -> dict:
+    """Both sides' summaries with the pairs each won; sign is +1 where
+    higher is better and -1 where lower is."""
+    side = {"parent": summarize(p), "change": summarize(c)}
+    side["parent"]["wins"] = sum(sign * (a - b) > 0 for a, b in zip(p, c))
+    side["change"]["wins"] = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+    return side
+
+
 def verdict(side: dict, sign: float, bound: float) -> str:
     """The verdict of one metric (see the module docstring) from its two
     summaries; sign is +1 where higher is better and -1 where lower is."""
@@ -94,9 +116,7 @@ def compare(parent: list[dict], change: list[dict], metrics: dict) -> dict:
         p = [r["metrics"][name]["value"] for r in parent]
         c = [r["metrics"][name]["value"] for r in change]
         sign = 1.0 if rule["better"] == "higher" else -1.0
-        side = {"parent": summarize(p), "change": summarize(c)}
-        side["parent"]["wins"] = sum(sign * (a - b) > 0 for a, b in zip(p, c))
-        side["change"]["wins"] = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+        side = paired(p, c, sign)
         pm = side["parent"]["median"]
         out[name] = {"better": rule["better"], "bound": rule["bound"],
                      "unit": parent[0]["metrics"][name]["unit"], **side,
@@ -105,16 +125,63 @@ def compare(parent: list[dict], change: list[dict], metrics: dict) -> dict:
     return out
 
 
+def sweep_config():
+    """The main sweep's BenchConfig, from the pumplab on sys.path."""
+    from pumplab.bench import BenchConfig, two_stage_suite
+
+    return BenchConfig(two_stage_suite()[::5], algorithms=("orig", "wfpbase"), seeds=tuple(range(1, 11)),
+                       max_iter=400, time_limit=math.inf, workers=1)
+
+
+def sweep_once() -> dict:
+    """Run the main sweep once: its wall time, the sha256 of its
+    timing-stripped CSV, and its row and error counts."""
+    from pumplab.bench import run_benchmark, write_csv
+
+    cfg = sweep_config()
+    start = time.perf_counter()
+    rows = run_benchmark(cfg).rows
+    wall = time.perf_counter() - start
+    text = write_csv(rows, include_timing=False)
+    return {"wall_s": wall, "sha256": hashlib.sha256(text.encode()).hexdigest(), "rows": len(rows),
+            "errors": sum(r.outcome == "error" for r in rows)}
+
+
+def run_sweep(tree: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--sweep-once"], cwd=tree, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def sweep_summary(parent: list[dict], change: list[dict]) -> dict:
+    """The main sweep's pairs: hash equality, error rows and wall time."""
+    side = paired([r["wall_s"] for r in parent], [r["wall_s"] for r in change], -1.0)
+    hashes = sorted({r["sha256"] for r in parent + change})
+    return {"pairs": len(parent), "rows": parent[0]["rows"], "sha256_equal": len(hashes) == 1, "sha256": hashes,
+            "errors": {name: sorted({r["errors"] for r in rs}) for name, rs in (("parent", parent), ("change", change))},
+            "wall_s": {**side, "ratio": side["change"]["median"] / side["parent"]["median"]}}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", required=True, help="source tree of the parent commit")
+    ap.add_argument("--parent", help="source tree of the parent commit")
     ap.add_argument("--change", default=ROOT, help="source tree of the change")
-    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--workload", action="append", default=[])
+    ap.add_argument("--main-sweep", action="store_true", help="also run the main sweep in pairs")
+    ap.add_argument("--sweep-once", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--pairs", type=_pair_count, default=10)
     ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--out", required=True)
+    ap.add_argument("--out")
     args = ap.parse_args(argv)
+    if args.sweep_once:
+        print(json.dumps(sweep_once()))
+        return 0
+    if not args.parent or not args.out:
+        ap.error("--parent and --out are required")
+    if not args.workload and not args.main_sweep:
+        ap.error("give --workload, --main-sweep or both")
 
     metrics = end_to_end()
     report = {}
@@ -148,10 +215,24 @@ def main(argv=None) -> int:
         }
         print(f"{workload}: " + ", ".join(f"{name} {m['verdict']}" for name, m in
                                           workloads[workload]["metrics"].items()), file=sys.stderr)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=1)
-            fh.write("\n")
+        _write(args.out, report)
+    if args.main_sweep:
+        runs = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_sweep(args.parent if side == "parent" else args.change))
+            print(f"main sweep pair {i + 1}/{args.pairs}: " + ", ".join(
+                f"{side} {runs[side][-1]['wall_s']:.1f} s" for side in ("parent", "change")), file=sys.stderr)
+        report["main_sweep"] = sweep_summary(runs["parent"], runs["change"])
+        _write(args.out, report)
     return 0
+
+
+def _write(path: str, report: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
 
 
 if __name__ == "__main__":
