@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 import time
@@ -414,8 +415,19 @@ def run_bound_suite(
 # Instance suites
 
 
-def _suite_rng(base_seed: int, idx: int):
-    return make_rng(base_seed, idx)
+def _grid(base_seed: int, cells, per_config: int, build):
+    """per_config instances per cell, cell by cell: the idx-th overall is
+    build(*cell, make_rng(base_seed, idx)), renamed with its repetition.
+
+    The suites' builders name the generators, so `bench.gen_two_stage` and
+    `bench.gen_subset_sum` are looked up at each call and a wrapper put on
+    them sees every instance."""
+    instances = []
+    for cell in cells:
+        for rep in range(per_config):
+            res = build(*cell, make_rng(base_seed, len(instances)))
+            instances.append(replace(res.instance, name=f"{res.instance.name}-r{rep}"))
+    return instances
 
 
 def two_stage_suite(base_seed: int = 12345, ks=(5, 15, 25, 35, 45), ps=(10, 20), q: int = 10,
@@ -426,26 +438,10 @@ def two_stage_suite(base_seed: int = 12345, ks=(5, 15, 25, 35, 45), ps=(10, 20),
     steps of 10, first-stage sizes 10 and 20, 10 second-stage columns
     per scenario, five repetitions per cell.
     """
-    instances = []
-    idx = 0
-    for k in ks:
-        for p in ps:
-            for rep in range(per_config):
-                res = gen_two_stage(
-                    k, p, q, _suite_rng(base_seed, idx), rows_per_scenario=rows_per_scenario
-                )
-                instances.append(replace(res.instance, name=f"{res.instance.name}-r{rep}"))
-                idx += 1
-    return instances
+    return _grid(base_seed, itertools.product(ks, ps), per_config,
+                 lambda k, p, rng: gen_two_stage(k, p, q, rng, rows_per_scenario=rows_per_scenario))
 
 
 def subset_sum_suite(base_seed: int, ks, ns, per_config: int = 1, coeff_max: int = 20):
-    instances = []
-    idx = 0
-    for k in ks:
-        for n in ns:
-            for rep in range(per_config):
-                res = gen_subset_sum(k, n, _suite_rng(base_seed, idx), coeff_max=coeff_max)
-                instances.append(replace(res.instance, name=f"{res.instance.name}-r{rep}"))
-                idx += 1
-    return instances
+    return _grid(base_seed, itertools.product(ks, ns), per_config,
+                 lambda k, n, rng: gen_subset_sum(k, n, rng, coeff_max=coeff_max))

@@ -14,11 +14,14 @@ Floats are written with repr so reading back reproduces them bit for bit.
 Row-origin maps are not serialized; write instances in their original
 sense form.
 
-The MPS reader covers NAME, OBJSENSE, ROWS, COLUMNS (with INTORG/INTEND
-markers), RHS, BOUNDS and ENDATA. Integer-marked columns must come out
-with bounds [0,1]; finite bounds on continuous columns are folded into
-extra rows because the model keeps continuous columns free. RANGES is
-rejected with a line number.
+The MPS reader covers NAME, OBJSENSE (MAX, MAXIMIZE, MIN or MINIMIZE, on
+its line or the next), ROWS, COLUMNS (with INTORG/INTEND markers), RHS,
+BOUNDS and ENDATA. RANGES, a row name declared twice and any other
+OBJSENSE value are rejected with a line number. Each BOUNDS line is
+checked as it is read, so it must name a column COLUMNS declared before:
+integer-marked columns must keep bounds [0,1], and finite bounds on
+continuous columns are folded into extra rows because the model keeps
+continuous columns free.
 """
 
 from __future__ import annotations
@@ -156,23 +159,26 @@ def read_native(text: str) -> MixedBinaryInstance:
 
 
 _SENSE_BY_TAG = {"L": Sense.LE, "G": Sense.GE, "E": Sense.EQ}
+_TAG_BY_SENSE = {sense: tag for tag, sense in _SENSE_BY_TAG.items()}
+# objective sign per OBJSENSE value; the model always maximizes
+_OBJ_SIGN = {"MAX": 1.0, "MAXIMIZE": 1.0, "MIN": -1.0, "MINIMIZE": -1.0}
 
 
 def parse_mps(text: str) -> MixedBinaryInstance:
     section = None
     name = "mps"
-    objsense = "MIN"
+    sign = -1.0
     obj_row: Optional[str] = None
     row_sense: dict[str, Sense] = {}
-    row_order: list[str] = []
+    # row (objective included) -> its (binary, continuous) {column index: coeff}
+    terms: dict[str, tuple[dict[int, float], dict[int, float]]] = {}
     integer_mode = False
-    col_kind: dict[str, bool] = {}        # name -> is integer
-    col_order: list[str] = []
-    entries: dict[str, dict[str, float]] = {}
+    columns: dict[str, tuple[bool, int]] = {}     # name -> (is continuous, index among its kind)
+    col_bounds: tuple[list, list] = ([], [])      # [lo, up] per binary, per continuous column
     rhs: dict[str, float] = {}
-    bounds: dict[str, list[tuple[str, Optional[float], int]]] = {}
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
         if not raw.strip() or raw.lstrip().startswith("*"):
             continue
         is_header = not raw[0].isspace()
@@ -184,25 +190,30 @@ def parse_mps(text: str) -> MixedBinaryInstance:
                     name = fields[1]
             elif section == "RANGES":
                 raise FormatError("RANGES section not supported", line_no)
-            elif section == "OBJSENSE" and len(fields) > 1:
-                objsense = fields[1].upper()
             elif section not in ("ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA", "OBJSENSE"):
                 raise FormatError(f"unsupported section {section!r}", line_no)
-            continue
+            if section != "OBJSENSE" or len(fields) == 1:
+                continue
+            fields = fields[1:]     # the sense may follow OBJSENSE on its line
         if section == "OBJSENSE":
-            objsense = fields[0].upper()
+            if fields[0].upper() not in _OBJ_SIGN:
+                raise FormatError(f"unknown OBJSENSE {fields[0]!r}", line_no)
+            sign = _OBJ_SIGN[fields[0].upper()]
         elif section == "ROWS":
             if len(fields) != 2:
                 raise FormatError("rows line wants 'type name'", line_no)
             tag, rname = fields[0].upper(), fields[1]
-            if tag == "N":
-                if obj_row is None:
-                    obj_row = rname
-            elif tag in _SENSE_BY_TAG:
-                row_sense[rname] = _SENSE_BY_TAG[tag]
-                row_order.append(rname)
-            else:
+            if tag != "N" and tag not in _SENSE_BY_TAG:
                 raise FormatError(f"unknown row type {tag!r}", line_no)
+            if rname in terms:
+                raise FormatError(f"row {rname!r} declared twice", line_no)
+            if tag != "N":
+                row_sense[rname] = _SENSE_BY_TAG[tag]
+            elif obj_row is None:
+                obj_row = rname
+            else:
+                continue        # only the first N row is the objective
+            terms[rname] = ({}, {})
         elif section == "COLUMNS":
             if len(fields) >= 3 and fields[1].strip("'\"").upper() == "MARKER":
                 marker = fields[2].strip("'\"").upper()
@@ -210,21 +221,22 @@ def parse_mps(text: str) -> MixedBinaryInstance:
                 continue
             if len(fields) < 3 or len(fields) % 2 == 0:
                 raise FormatError("columns line wants 'col row val [row val]'", line_no)
-            cname = fields[0]
-            if cname not in col_kind:
-                col_kind[cname] = integer_mode
-                col_order.append(cname)
+            if fields[0] not in columns:
+                is_cont = not integer_mode
+                columns[fields[0]] = (is_cont, len(col_bounds[is_cont]))
+                col_bounds[is_cont].append([0.0, np.inf if is_cont else 1.0])
+            is_cont, j = columns[fields[0]]
             for i in range(1, len(fields), 2):
                 rname, val = fields[i], _number(fields[i + 1], line_no)
-                if rname != obj_row and rname not in row_sense:
+                if rname not in terms:
                     raise FormatError(f"entry for undeclared row {rname!r}", line_no)
-                entries.setdefault(cname, {})
-                entries[cname][rname] = entries[cname].get(rname, 0.0) + val
+                coeffs = terms[rname][is_cont]
+                coeffs[j] = coeffs.get(j, 0.0) + val
         elif section == "RHS":
             if len(fields) < 3 or len(fields) % 2 == 0:
                 raise FormatError("rhs line wants 'set row val [row val]'", line_no)
             for i in range(1, len(fields), 2):
-                if fields[i] != obj_row and fields[i] not in row_sense:
+                if fields[i] not in terms:
                     raise FormatError(f"rhs for undeclared row {fields[i]!r}", line_no)
                 rhs[fields[i]] = _number(fields[i + 1], line_no)
         elif section == "BOUNDS":
@@ -232,13 +244,26 @@ def parse_mps(text: str) -> MixedBinaryInstance:
             if tag in ("FR", "MI", "PL", "BV"):
                 if len(fields) < 3:
                     raise FormatError("bounds line wants 'type set col'", line_no)
-                bounds.setdefault(fields[2], []).append((tag, None, line_no))
+                val = None
             elif tag in ("UP", "LO", "FX", "UI"):
                 if len(fields) < 4:
                     raise FormatError("bounds line wants 'type set col val'", line_no)
-                bounds.setdefault(fields[2], []).append((tag, _number(fields[3], line_no), line_no))
+                val = _number(fields[3], line_no)
             else:
                 raise FormatError(f"unknown bound type {tag!r}", line_no)
+            cname = fields[2]
+            if cname not in columns:
+                raise FormatError(f"bounds for unknown column {cname!r}", line_no)
+            is_cont, j = columns[cname]
+            bounds = col_bounds[is_cont][j]
+            if tag in ("BV", "UI") and is_cont:
+                raise FormatError(f"bound type {tag!r} not valid for continuous column", line_no)
+            if tag in ("FR", "MI", "LO", "FX"):
+                bounds[0] = val if tag in ("LO", "FX") else -np.inf
+            if tag in ("FR", "PL", "UP", "FX", "UI"):
+                bounds[1] = val if tag in ("UP", "FX", "UI") else np.inf
+            if not is_cont and bounds != [0.0, 1.0]:
+                raise FormatError(f"column {cname!r} is integer but not binary (bound {tag} {val})", line_no)
         elif section == "ENDATA":
             pass
         elif section is None:
@@ -246,128 +271,63 @@ def parse_mps(text: str) -> MixedBinaryInstance:
         else:
             raise FormatError(f"unsupported section {section!r}", line_no)
 
-    if not col_order:
-        raise FormatError("empty COLUMNS section", 0)
+    if not columns:
+        raise FormatError("empty COLUMNS section", len(lines))
 
-    bin_names = [c for c in col_order if col_kind[c]]
-    cont_names = [c for c in col_order if not col_kind[c]]
-    bin_index = {c: j for j, c in enumerate(bin_names)}
-    cont_index = {c: j for j, c in enumerate(cont_names)}
-
-    # binary columns must come out [0,1]; continuous bounds become rows
-    cont_lo = {c: 0.0 for c in cont_names}
-    cont_up = {c: np.inf for c in cont_names}
-    for cname, blist in bounds.items():
-        if cname not in col_kind:
-            raise FormatError(f"bounds for unknown column {cname!r}", blist[0][2])
-        for tag, val, line_no in blist:
-            if col_kind[cname]:
-                if tag == "BV" or (tag in ("UP", "UI") and val == 1.0) or (tag == "LO" and val == 0.0):
-                    continue
-                raise FormatError(
-                    f"column {cname!r} is integer but not binary (bound {tag} {val})", line_no
-                )
-            if tag == "FR":
-                cont_lo[cname], cont_up[cname] = -np.inf, np.inf
-            elif tag == "MI":
-                cont_lo[cname] = -np.inf
-            elif tag == "PL":
-                cont_up[cname] = np.inf
-            elif tag == "UP":
-                cont_up[cname] = val
-            elif tag == "LO":
-                cont_lo[cname] = val
-            elif tag == "FX":
-                cont_lo[cname] = cont_up[cname] = val
-            else:
-                raise FormatError(f"bound type {tag!r} not valid for continuous column", line_no)
-
-    rows: list[LinearRow] = []
-    for rname in row_order:
-        bins: dict[int, float] = {}
-        conts: dict[int, float] = {}
-        for cname, vals in entries.items():
-            if rname in vals:
-                if col_kind[cname]:
-                    bins[bin_index[cname]] = vals[rname]
-                else:
-                    conts[cont_index[cname]] = vals[rname]
-        rows.append(LinearRow(bins, conts, row_sense[rname], rhs.get(rname, 0.0)))
-    for cname in cont_names:
-        j = cont_index[cname]
-        if np.isfinite(cont_lo[cname]):
-            rows.append(LinearRow({}, {j: -1.0}, Sense.LE, -cont_lo[cname]))
-        if np.isfinite(cont_up[cname]):
-            rows.append(LinearRow({}, {j: 1.0}, Sense.LE, cont_up[cname]))
-
-    objective = None
-    if obj_row is not None:
-        sign = 1.0 if objsense.startswith("MAX") else -1.0
-        ob: dict[int, float] = {}
-        oc: dict[int, float] = {}
-        for cname, vals in entries.items():
-            if obj_row in vals and vals[obj_row] != 0.0:
-                if col_kind[cname]:
-                    ob[bin_index[cname]] = sign * vals[obj_row]
-                else:
-                    oc[cont_index[cname]] = sign * vals[obj_row]
-        if ob or oc:
-            objective = Objective(ob, oc)
-
+    rows = [LinearRow(*terms[rname], sense, rhs.get(rname, 0.0)) for rname, sense in row_sense.items()]
+    # the model keeps continuous columns free: finite bounds become rows
+    for j, (lo, up) in enumerate(col_bounds[True]):
+        if np.isfinite(lo):
+            rows.append(LinearRow({}, {j: -1.0}, Sense.LE, -lo))
+        if np.isfinite(up):
+            rows.append(LinearRow({}, {j: 1.0}, Sense.LE, up))
+    # zeros dropped first: an objective row of zeros gives no objective
+    ob, oc = ({j: sign * v for j, v in part.items() if v != 0.0} for part in terms.get(obj_row, ({}, {})))
     return MixedBinaryInstance(
         name=name,
-        n=len(bin_names),
-        d=len(cont_names),
+        n=len(col_bounds[False]),
+        d=len(col_bounds[True]),
         rows=tuple(rows),
-        objective=objective,
+        objective=Objective(ob, oc) if ob or oc else None,
     )
+
+
+def _write_columns(lines: list[str], bounds: list[str], prefix: str, bound: str, col_terms, empty_row: str):
+    """Each column's COLUMNS entries into lines and its BOUNDS line into bounds."""
+    for j, col in enumerate(col_terms):
+        # a column in no row still needs one entry to be declared
+        for rname, val in col or [(empty_row, 0.0)]:
+            lines.append(f"    {prefix}{j} {rname} {_fmt(val)}")
+        bounds.append(f" {bound} BND {prefix}{j}")
 
 
 def write_mps(instance: MixedBinaryInstance) -> str:
     lines = [f"NAME {instance.name}"]
-    has_obj_row = instance.objective is not None or not instance.rows
+    named = [(f"R{r}", row) for r, row in enumerate(instance.rows)]
     if instance.objective is not None:
         lines += ["OBJSENSE", "    MAX"]
+        named.insert(0, ("OBJ", instance.objective))
     lines.append("ROWS")
-    if has_obj_row:
+    if instance.objective is not None or not instance.rows:
         lines.append(" N  OBJ")
-    tag = {Sense.LE: "L", Sense.GE: "G", Sense.EQ: "E"}
+    rhs = ["RHS"]
     for r, row in enumerate(instance.rows):
-        lines.append(f" {tag[row.sense]}  R{r}")
+        lines.append(f" {_TAG_BY_SENSE[row.sense]}  R{r}")
+        if row.rhs != 0.0:
+            rhs.append(f"    RHS R{r} {_fmt(row.rhs)}")
+    # each binary and continuous column's (row, coeff) terms, the objective first
+    col_terms = ([[] for _ in range(instance.n)], [[] for _ in range(instance.d)])
+    for rname, coeffs in named:
+        for kind_terms, part in zip(col_terms, (coeffs.bin_coeffs, coeffs.cont_coeffs)):
+            for j, val in part.items():
+                kind_terms[j].append((rname, val))
+    empty_row = "R0" if instance.rows else "OBJ"
+    bounds = ["BOUNDS"]
     lines.append("COLUMNS")
     if instance.n:
         lines.append("    M1 'MARKER' 'INTORG'")
-        for j in range(instance.n):
-            terms = []
-            if instance.objective is not None and j in instance.objective.bin_coeffs:
-                terms.append(("OBJ", instance.objective.bin_coeffs[j]))
-            for r, row in enumerate(instance.rows):
-                if j in row.bin_coeffs:
-                    terms.append((f"R{r}", row.bin_coeffs[j]))
-            if not terms:
-                terms.append(("R0" if instance.rows else "OBJ", 0.0))
-            for rname, val in terms:
-                lines.append(f"    x{j} {rname} {_fmt(val)}")
+        _write_columns(lines, bounds, "x", "BV", col_terms[0], empty_row)
         lines.append("    M1 'MARKER' 'INTEND'")
-    for j in range(instance.d):
-        terms = []
-        if instance.objective is not None and j in instance.objective.cont_coeffs:
-            terms.append(("OBJ", instance.objective.cont_coeffs[j]))
-        for r, row in enumerate(instance.rows):
-            if j in row.cont_coeffs:
-                terms.append((f"R{r}", row.cont_coeffs[j]))
-        if not terms:
-            terms.append(("R0" if instance.rows else "OBJ", 0.0))
-        for rname, val in terms:
-            lines.append(f"    y{j} {rname} {_fmt(val)}")
-    lines.append("RHS")
-    for r, row in enumerate(instance.rows):
-        if row.rhs != 0.0:
-            lines.append(f"    RHS R{r} {_fmt(row.rhs)}")
-    lines.append("BOUNDS")
-    for j in range(instance.n):
-        lines.append(f" BV BND x{j}")
-    for j in range(instance.d):
-        lines.append(f" FR BND y{j}")
-    lines.append("ENDATA")
+    _write_columns(lines, bounds, "y", "FR", col_terms[1], empty_row)
+    lines += rhs + bounds + ["ENDATA"]
     return "\n".join(lines) + "\n"

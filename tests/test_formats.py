@@ -1,8 +1,10 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pumplab import pump
 from pumplab.errors import FormatError
 from pumplab.formats import parse_mps, read_native, write_mps, write_native
 from pumplab.gen import (
@@ -11,6 +13,7 @@ from pumplab.gen import (
     gen_decomposable,
     gen_subset_sum,
     gen_two_stage,
+    zero_frac_stall_instance,
 )
 from pumplab.model import Sense
 from pumplab.perturb import make_rng
@@ -112,7 +115,8 @@ _MPS_HEAD = "NAME m\nROWS\n N  OBJ\n L  R0\nCOLUMNS\n"
     (_MPS_HEAD + "    x0 R0 abc\nENDATA\n", 6),
     (_MPS_HEAD + "    x0 R0 1.0\nRHS\n    RHS R0 1e\nENDATA\n", 8),
     (_MPS_HEAD + "    x0 R0 1.0\nBOUNDS\n UP BND x0 zz\nENDATA\n", 8),
-], ids=["columns", "rhs", "bounds"])
+    (_MPS_HEAD + "    x0 R0 1.0\nBOUNDS\n UP BND x0\nENDATA\n", 8),
+], ids=["columns", "rhs", "bounds", "bounds-missing-value"])
 def test_mps_bad_numbers_name_their_line(text, line_no):
     # a non-numeric COLUMNS, RHS or BOUNDS value used to raise a bare ValueError
     with pytest.raises(FormatError) as e:
@@ -194,12 +198,44 @@ def test_mps_rejections():
     with pytest.raises(FormatError) as e:
         parse_mps("NAME u\nROWS\n L r1\nCOLUMNS\n    x r2 1.0\nENDATA\n")
     assert e.value.line_no == 5
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as e:
         parse_mps(
             "NAME i\nROWS\n L r1\nCOLUMNS\n"
             "    MARKER 'MARKER' 'INTORG'\n    x r1 1.0\n    MARKER 'MARKER' 'INTEND'\n"
             "RHS\n    rhs r1 1.0\nBOUNDS\n UP bnd x 2.0\nENDATA\n"
         )  # integer column with an upper bound of 2 is not binary
+    assert e.value.line_no == 11
+    with pytest.raises(FormatError) as e:
+        parse_mps("NAME b\nROWS\n L r1\nCOLUMNS\n    y r1 1.0\nBOUNDS\n UP bnd y 1.0\n FR bnd z\nENDATA\n")
+    assert e.value.line_no == 8     # bounds for a column COLUMNS never named
+    with pytest.raises(FormatError) as e:
+        parse_mps("NAME b\nROWS\n L r1\nCOLUMNS\n    y r1 1.0\nBOUNDS\n LO bnd y 1.0\n BV bnd y\nENDATA\n")
+    assert e.value.line_no == 8     # BV on a continuous column
+
+
+@pytest.mark.parametrize("text, line_no", [
+    ("NAME d\nROWS\n L r1\n G r2\n L r1\nCOLUMNS\n    x r1 1.0\nENDATA\n", 5),
+    ("NAME s\nOBJSENSE FOO\nROWS\n L r1\nCOLUMNS\n    x r1 1.0\nENDATA\n", 2),
+    ("NAME s\nOBJSENSE\n    MAXIMUM\nROWS\n L r1\nCOLUMNS\n    x r1 1.0\nENDATA\n", 3),
+    ("NAME e\nROWS\n L r1\nCOLUMNS\nRHS\n    rhs r1 1.0\nENDATA\n", 7),
+    ("NAME b\nROWS\n L r1\nBOUNDS\n UP bnd y 3.0\nCOLUMNS\n    y r1 1.0\nENDATA\n", 5),
+], ids=["repeated-row", "objsense-header", "objsense-line", "empty-columns", "bounds-before-columns"])
+def test_mps_declared_rejections(text, line_no):
+    # a repeated row name used to give two rows, an unknown OBJSENSE to mean
+    # minimize, an empty COLUMNS section to report line 0, and a BOUNDS
+    # section ahead of COLUMNS to be applied after it
+    with pytest.raises(FormatError) as e:
+        parse_mps(text)
+    assert e.value.line_no == line_no
+
+
+@pytest.mark.parametrize("head, sign", [
+    ("OBJSENSE MAXIMIZE\n", 1.0), ("OBJSENSE\n    MAX\n", 1.0),
+    ("OBJSENSE MIN\n", -1.0), ("OBJSENSE\n    minimize\n", -1.0), ("", -1.0),
+])
+def test_mps_objsense_values(head, sign):
+    text = "NAME s\n" + head + "ROWS\n N obj\n L r1\nCOLUMNS\n    x r1 1.0 obj 2.0\nENDATA\n"
+    assert dict(parse_mps(text).objective.cont_coeffs) == {0: sign * 2.0}
 
 
 def test_write_mps_emits_dummy_entry_for_empty_columns():
@@ -212,3 +248,31 @@ def test_write_mps_emits_dummy_entry_for_empty_columns():
     back = parse_mps(text)
     assert back.n == 3
     assert_same_instance(wider, back, check_blocks=False)
+
+
+def _pinned_mps_instances():
+    yield from random_instances(60, 51)
+    yield fractional_stall_instance()
+    yield zero_frac_stall_instance(3)
+    yield read_native((DATA / "fractional_stall.pl").read_text())
+    yield read_native((DATA / "decomp_two_blocks.pl").read_text())
+    yield parse_mps((DATA / "stall_freeform.mps").read_text())
+
+
+# sha256 of every write_mps text of _pinned_mps_instances, in order
+PINNED_MPS = "10ea7f4efc83bbf28cee90947e210ca3710bfa0762c935025e22a4b8cc0e420d"
+
+
+def test_write_mps_bytes_are_pinned():
+    h = hashlib.sha256()
+    for inst in _pinned_mps_instances():
+        h.update(write_mps(inst).encode())
+    assert h.hexdigest() == PINNED_MPS
+
+
+@pytest.mark.parametrize("alg", sorted(pump.ALGORITHMS))
+def test_mps_round_trip_runs_the_same_trace(alg):
+    inst = gen_decomposable(3, BlockSpec(n=4, d=1, rows=2, s=2), make_rng(53)).instance
+    back = parse_mps(write_mps(inst))
+    want = pump.run(alg, inst, make_rng(7), max_iter=300).to_lines()
+    assert pump.run(alg, back, make_rng(7), max_iter=300).to_lines() == want

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from pumplab.bench import _suite_rng, two_stage_suite
+from pumplab.bench import two_stage_suite
 from pumplab.formats import write_native
 from pumplab.gen import (
     BlockSpec,
@@ -135,11 +135,11 @@ def _decomp_walk_results() -> list:
     out = []
     for k in (10, 25, 50):
         for n in (3, 4):
-            out.append(gen_subset_sum(k, n, _suite_rng(12345, len(out)), coeff_max=10))
+            out.append(gen_subset_sum(k, n, make_rng(12345, len(out)), coeff_max=10))
     for k, spec in [(20, BlockSpec(n=5, d=0, rows=2, s=3)), (40, BlockSpec(n=5, d=0, rows=2, s=3)),
                     (10, BlockSpec(n=4, d=1, rows=3, s=2)), (30, BlockSpec(n=4, d=1, rows=3, s=2)),
                     (15, BlockSpec(n=4, d=2, rows=3, s=2)), (45, BlockSpec(n=4, d=2, rows=3, s=2))]:
-        out.append(gen_decomposable(k, spec, _suite_rng(12345, len(out))))
+        out.append(gen_decomposable(k, spec, make_rng(12345, len(out))))
     return out
 
 
