@@ -36,6 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .certificate import cert_supp_bound
 from .errors import PumpLabError
 from .gen import gen_subset_sum, gen_two_stage
 from .model import MixedBinaryInstance
@@ -156,6 +157,10 @@ def _run_one(cfg: BenchConfig, task) -> BenchRow:
     )
 
 
+# the table's statistics, in column order: header label, by_seed key, seed-line format
+_STATS = (("# found", "found", "{:d}"), ("time sgm", "time_sgm", "{:.3f}"), ("itr sgm", "iter_sgm", "{:.2f}"))
+
+
 @dataclass(frozen=True)
 class BenchTable:
     """Aggregates in the found-count / time-sgm / iteration-sgm layout.
@@ -175,85 +180,64 @@ class BenchTable:
     ratios: dict
 
     def render(self) -> str:
-        algs, seeds = self.algorithms, self.seeds
-        if not algs or not seeds or not self.by_seed:
+        algs = self.algorithms
+        if not algs or not self.seeds or not self.by_seed:
             return "(no runs)\n"
         width = max(9, max(len(a) for a in algs) + 2)
-        groups = [
-            ("# found", "found", "{:d}"),
-            ("time sgm", "time_sgm", "{:.3f}"),
-            ("itr sgm", "iter_sgm", "{:.2f}"),
+
+        def line(head: str, cell) -> str:
+            """head, then per statistic cell(alg, key, fmt) for each algorithm, right-aligned."""
+            text = head.ljust(6)
+            for _, key, fmt in _STATS:
+                text += " " + "".join(cell(alg, key, fmt).rjust(width) for alg in algs)
+            return text.rstrip()
+
+        labels = "".join(" " + label.center(width * len(algs)) for label, _, _ in _STATS)
+        out = [
+            f"sgm shifts: time {SGM_SHIFT:g}, iterations {SGM_SHIFT:g}",
+            ("seed".ljust(6) + labels).rstrip(),
+            line("", lambda alg, key, fmt: alg),
         ]
-        out = [f"sgm shifts: time {SGM_SHIFT:g}, iterations {SGM_SHIFT:g}"]
-        header1 = "seed".ljust(6)
-        header2 = " " * 6
-        for label, _, _ in groups:
-            header1 += " " + label.center(width * len(algs))
-            header2 += " " + "".join(a.rjust(width) for a in algs)
-        out.append(header1.rstrip())
-        out.append(header2.rstrip())
-        for seed in seeds:
-            line = str(seed).ljust(6)
-            for _, key, fmt in groups:
-                line += " " + "".join(
-                    fmt.format(self.by_seed[(alg, seed)][key]).rjust(width) for alg in algs
-                )
-            out.append(line.rstrip())
-        line = "mean".ljust(6)
-        for _, key, _ in groups:
-            line += " " + "".join(
-                "{:.2f}".format(self.means[(alg, key)]).rjust(width) for alg in algs
-            )
-        out.append(line.rstrip())
+        for seed in self.seeds:
+            out.append(line(str(seed), lambda alg, key, fmt: fmt.format(self.by_seed[alg, seed][key])))
+        out.append(line("mean", lambda alg, key, fmt: f"{self.means[alg, key]:.2f}"))
         if len(algs) > 1:
-            line = "ratio".ljust(6)
-            for _, key, _ in groups:
-                line += " " + "".join(
-                    "{:.2f}".format(self.ratios[(alg, key)]).rjust(width) for alg in algs
-                )
-            out.append(line.rstrip() + f"   (vs {algs[0]})")
+            ratio = line("ratio", lambda alg, key, fmt: f"{self.ratios[alg, key]:.2f}")
+            out.append(ratio + f"   (vs {algs[0]})")
         return "\n".join(out) + "\n"
 
 
 def make_table(rows: Sequence[BenchRow]) -> BenchTable:
-    algs = tuple(sorted(set(r.algorithm for r in rows)))
-    seeds = tuple(sorted(set(r.seed for r in rows)))
-    by_seed: dict = {}
+    groups: dict = {}
+    for r in rows:
+        groups.setdefault((r.algorithm, r.seed), []).append(r)
+    algs = tuple(sorted({alg for alg, _ in groups}))
+    seeds = tuple(sorted({seed for _, seed in groups}))
+    by_seed = {}
     for alg in algs:
         for seed in seeds:
-            group = [r for r in rows if r.algorithm == alg and r.seed == seed]
-            found = [r for r in group if r.outcome == "found"]
-            by_seed[(alg, seed)] = {
+            group = groups.get((alg, seed), [])
+            by_seed[alg, seed] = {
                 "runs": len(group),
-                "found": len(found),
+                "found": sum(r.outcome == "found" for r in group),
                 "time_sgm": shifted_geomean([r.wall_time_s for r in group], SGM_SHIFT),
                 "iter_sgm": shifted_geomean([r.iterations for r in group], SGM_SHIFT),
             }
-    means = {
-        (alg, key): float(np.mean([by_seed[(alg, s)][key] for s in seeds])) if seeds else 0.0
-        for alg in algs
-        for key in ("found", "time_sgm", "iter_sgm")
-    }
-    ratios = {}
-    if algs:
-        base = algs[0]
-        for alg in algs:
-            for key in ("found", "time_sgm", "iter_sgm"):
-                ref = means[(base, key)]
-                ratios[(alg, key)] = means[(alg, key)] / ref if ref else math.nan
-    return BenchTable(
-        algorithms=algs,
-        seeds=seeds,
-        by_seed=by_seed,
-        means=means,
-        ratios=ratios,
-    )
+    means = {(alg, key): float(np.mean([by_seed[alg, s][key] for s in seeds]))
+             for alg in algs for _, key, _ in _STATS}
+    ratios = {(alg, key): mean / means[algs[0], key] if means[algs[0], key] else math.nan
+              for (alg, key), mean in means.items()}
+    return BenchTable(algorithms=algs, seeds=seeds, by_seed=by_seed, means=means, ratios=ratios)
 
 
 @dataclass(frozen=True)
 class BenchResult:
     rows: list
-    table: BenchTable
+
+    @property
+    def table(self) -> BenchTable:
+        """The sweep table, built from the rows each time it is read."""
+        return make_table(self.rows)
 
     @property
     def text(self) -> str:
@@ -289,7 +273,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchResult:
     else:
         rows = [_run_one(cfg, t) for t in tasks]
     rows.sort(key=lambda r: (r.instance, r.algorithm, r.seed))
-    return BenchResult(rows=rows, table=make_table(rows))
+    return BenchResult(rows=rows)
 
 
 def write_csv(rows: Sequence[BenchRow], path=None, include_timing: bool = True) -> str:
@@ -342,63 +326,59 @@ class BoundSuiteResult:
         return "\n".join(lines) + "\n"
 
 
+# theorem -> (variant, flips, default (ks, ns) grid, bound(instance, k, n, delta)):
+# theorem 1 walks by single certificate flips, 2 and 5 pump with pair flips
+BOUND_SUITES = {
+    "1": ("mbwalksat", 1, ((2, 3), (3, 4, 5, 6)), lambda inst, k, n, delta: pump.theorem_bound(
+        "T1", block_sizes=[n] * k, cert_bounds=cert_supp_bound(inst), delta=delta)),
+    "2": ("wfp", 2, ((1, 2, 3), (3, 4, 5)),
+          lambda inst, k, n, delta: pump.theorem_bound("T2", block_sizes=[n] * k, delta=delta)),
+    "5": ("wfp", 2, ((1, 2, 3), (3, 4, 5)),
+          lambda inst, k, n, delta: pump.theorem_bound("T5", n=inst.n, delta=delta)),
+}
+
+
 def run_bound_suite(
     theorem: str,
     runs: int = 200,
     delta: float = 0.1,
-    ks=(2, 3),
-    ns=(3, 4, 5, 6),
+    ks=None,
+    ns=None,
     base_seed: int = 0,
     coeff_max: int = 10,
     cap_limit: int = 1_000_000,
 ) -> BoundSuiteResult:
     """Empirical check that the stated success probability holds.
 
-    Spreads `runs` round-robin over the (k, n) grid. Each run generates a
-    fresh k-block subset-sum instance and drives the matching algorithm
-    (theorem 1: single-flip certificate walk; 2 and 5: pump with pair
-    flips) up to min(bound, cap_limit) iterations. A failure is a run
-    that does not finish within its cap; with caps at the theoretical
-    bound the failure rate should stay near or below delta.
+    Spreads `runs` round-robin over the (k, n) grid; ks or ns left None
+    take the theorem's own from BOUND_SUITES. Each run generates a fresh
+    k-block subset-sum instance and drives the theorem's variant up to
+    min(bound, cap_limit) iterations. A failure is a run that does not
+    finish within its cap; with caps at the theoretical bound the failure
+    rate should stay near or below delta. runs and cap_limit below 1, or
+    a delta outside (0, 1), raise ValueError before any run.
     """
-    from .certificate import cert_supp_bound
-    from .pump import run_mb_walksat, run_wfp, theorem_bound
-
     name = theorem.upper().lstrip("T")
-    if name not in ("1", "2", "5"):
+    if name not in BOUND_SUITES:
         raise ValueError("theorem must be one of 1, 2, 5")
-    configs = [(k, n) for k in ks for n in ns]
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
+    if cap_limit < 1:
+        raise ValueError(f"cap_limit must be at least 1, got {cap_limit}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie strictly between 0 and 1, got {delta!r}")
+    variant, flips, (default_ks, default_ns), bound = BOUND_SUITES[name]
+    configs = list(itertools.product(default_ks if ks is None else ks, default_ns if ns is None else ns))
     if not configs:
         raise ValueError("empty (k, n) grid")
-    failures = 0
-    caps = []
     details = []
     for r in range(runs):
         k, n = configs[r % len(configs)]
-        run_rng = make_rng(base_seed, 1, r)
         inst = gen_subset_sum(k, n, make_rng(base_seed, 0, r), coeff_max=coeff_max).instance
-        if name == "1":
-            bound = theorem_bound(
-                "T1",
-                block_sizes=[n] * k,
-                cert_bounds=cert_supp_bound(inst),
-                delta=delta,
-            ).iterations
-            cap = min(bound, cap_limit)
-            trace = run_mb_walksat(inst, 1, max_iter=cap, rng=run_rng, record=False)
-        elif name == "2":
-            bound = theorem_bound("T2", block_sizes=[n] * k, delta=delta).iterations
-            cap = min(bound, cap_limit)
-            trace = run_wfp(inst, 2, cap, run_rng, record=False)
-        else:
-            bound = theorem_bound("T5", n=inst.n, delta=delta).iterations
-            cap = min(bound, cap_limit)
-            trace = run_wfp(inst, 2, cap, run_rng, record=False)
-        if cap not in caps:
-            caps.append(cap)
-        ok = trace.outcome == "found"
-        failures += 0 if ok else 1
+        cap = min(bound(inst, k, n, delta).iterations, cap_limit)
+        trace = pump.run(variant, inst, make_rng(base_seed, 1, r), max_iter=cap, flips=flips, record=False)
         details.append((k, n, cap, trace.outcome, trace.iterations))
+    failures = sum(outcome != "found" for _, _, _, outcome, _ in details)
     sigma = math.sqrt(delta * (1.0 - delta) / runs)
     return BoundSuiteResult(
         theorem=f"T{name}",
@@ -406,7 +386,7 @@ def run_bound_suite(
         failures=failures,
         delta=delta,
         threshold=delta + 3.0 * sigma,
-        caps=tuple(sorted(caps)),
+        caps=tuple(sorted({cap for _, _, cap, _, _ in details})),
         details=tuple(details),
     )
 
@@ -442,6 +422,9 @@ def two_stage_suite(base_seed: int = 12345, ks=(5, 15, 25, 35, 45), ps=(10, 20),
                  lambda k, p, rng: gen_two_stage(k, p, q, rng, rows_per_scenario=rows_per_scenario))
 
 
-def subset_sum_suite(base_seed: int, ks, ns, per_config: int = 1, coeff_max: int = 20):
+def subset_sum_suite(base_seed: int = 12345, ks=(1, 2, 3), ns=(3, 4, 5), per_config: int = 1,
+                     coeff_max: int = 20):
+    """Subset-sum grid: len(ks) * len(ns) * per_config instances of k
+    blocks of n binaries, coefficients up to coeff_max."""
     return _grid(base_seed, itertools.product(ks, ns), per_config,
                  lambda k, n, rng: gen_subset_sum(k, n, rng, coeff_max=coeff_max))

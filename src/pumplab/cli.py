@@ -186,26 +186,20 @@ def cmd_trace(args) -> int:
     return 0
 
 
+# each --family's suite and the flags it reads; a flag the user did not give is left to the suite's default
+_SUITES = {
+    "two-stage": (benchmod.two_stage_suite, ("base_seed", "ks", "ps", "q", "per_config", "rows_per_scenario")),
+    "subset-sum": (benchmod.subset_sum_suite, ("base_seed", "ks", "ns", "per_config", "coeff_max")),
+}
+
+
 def cmd_bench(args) -> int:
     if args.instances:
         instances = [load_instance(p) for p in args.instances]
-    elif args.family == "two-stage":
-        instances = benchmod.two_stage_suite(
-            base_seed=args.base_seed,
-            ks=args.ks or (5, 15, 25, 35, 45),
-            ps=args.ps or (10, 20),
-            q=args.q,
-            per_config=args.per_config,
-            rows_per_scenario=args.rows_per_scenario,
-        )
-    elif args.family == "subset-sum":
-        instances = benchmod.subset_sum_suite(
-            base_seed=args.base_seed,
-            ks=args.ks or (1, 2, 3),
-            ns=args.ns or (3, 4, 5),
-            per_config=args.per_config,
-            coeff_max=args.coeff_max,
-        )
+    elif args.family:
+        suite, flags = _SUITES[args.family]
+        given = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
+        instances = suite(**given)
     else:
         print("bench needs --instances or --family", file=sys.stderr)
         return 2
@@ -233,20 +227,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify_bounds(args) -> int:
-    if args.ks is None:
-        args.ks = (2, 3) if args.theorem == "1" else (1, 2, 3)
-    if args.ns is None:
-        args.ns = (3, 4, 5, 6) if args.theorem == "1" else (3, 4, 5)
-    res = benchmod.run_bound_suite(
-        str(args.theorem),
-        runs=args.runs,
-        delta=args.delta,
-        ks=args.ks,
-        ns=args.ns,
-        base_seed=args.base_seed,
-        coeff_max=args.coeff_max,
-        cap_limit=args.cap_limit,
-    )
+    # each flag is the suite's parameter of the same name; --ks and --ns left out take the theorem's grid
+    flags = ("runs", "delta", "ks", "ns", "base_seed", "coeff_max", "cap_limit")
+    res = benchmod.run_bound_suite(args.theorem, **{flag: getattr(args, flag) for flag in flags})
     sys.stdout.write(res.render())
     return 0 if res.passed else 1
 
@@ -298,27 +281,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="sweep instances x algorithms x seeds")
     p.add_argument("--instances", nargs="*", help="instance files (overrides --family)")
-    p.add_argument("--family", choices=["two-stage", "subset-sum"])
+    p.add_argument("--family", choices=list(_SUITES))
     p.add_argument("--algs", type=_parse_algs, default="orig,wfpbase", help="comma list")
     p.add_argument("--seeds", type=_parse_seeds, default="1..10", help="list 1,2,3 or range 1..10")
     p.add_argument("--max-iter", type=_at_least(0), default=400)
     p.add_argument("--flips", "--l", dest="flips", type=_at_least(1), default=2)
     p.add_argument("--tt", type=_parse_tt, default=DEFAULT_TT_RANGE, metavar="LO:HI")
     p.add_argument("--time-limit", type=_float_between(0.0, math.inf), default=60.0)
-    p.add_argument("--base-seed", type=_at_least(0), default=12345, help="instance generation seed")
+    # suite flags; each one left out takes the --family suite's own default
+    p.add_argument("--base-seed", type=_at_least(0), help="instance generation seed")
     p.add_argument("--ks", type=_parse_counts, help="comma list of block or scenario counts")
     p.add_argument("--ps", type=_parse_counts, help="comma list of first-stage sizes (two-stage)")
     p.add_argument("--ns", type=_parse_counts, help="comma list of block sizes (subset-sum)")
-    p.add_argument("--q", type=positive, default=10)
-    p.add_argument("--per-config", type=positive, default=5)
-    p.add_argument("--rows-per-scenario", type=positive, default=5)
-    p.add_argument("--coeff-max", type=positive, default=20)
+    p.add_argument("--q", type=positive, help="second-stage columns per scenario (two-stage)")
+    p.add_argument("--per-config", type=positive, help="instances per grid cell")
+    p.add_argument("--rows-per-scenario", type=positive, help="rows per scenario (two-stage)")
+    p.add_argument("--coeff-max", type=positive, help="largest coefficient (subset-sum)")
     p.add_argument("--csv", help="also write per-run rows to this path")
     p.add_argument("--workers", type=positive, help="worker processes (default: PUMPLAB_WORKERS or 1)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify-bounds", help="Monte Carlo check of the iteration bounds")
-    p.add_argument("--theorem", required=True, choices=["1", "2", "5"])
+    p.add_argument("--theorem", required=True, choices=list(benchmod.BOUND_SUITES))
     p.add_argument("--runs", type=_at_least(1), default=200)
     p.add_argument("--delta", type=_float_between(0.0, 1.0), default=0.1)
     p.add_argument("--ks", "--k", dest="ks", type=_parse_counts, help="comma list of block counts")

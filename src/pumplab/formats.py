@@ -16,12 +16,15 @@ sense form.
 
 The MPS reader covers NAME, OBJSENSE (MAX, MAXIMIZE, MIN or MINIMIZE, on
 its line or the next), ROWS, COLUMNS (with INTORG/INTEND markers), RHS,
-BOUNDS and ENDATA. RANGES, a row name declared twice and any other
-OBJSENSE value are rejected with a line number. Each BOUNDS line is
-checked as it is read, so it must name a column COLUMNS declared before:
-integer-marked columns must keep bounds [0,1], and finite bounds on
-continuous columns are folded into extra rows because the model keeps
-continuous columns free.
+BOUNDS and ENDATA. The first N row is the objective; N rows after it are
+free rows, and their COLUMNS and RHS entries are dropped. RANGES, a row
+name declared twice (a free row's included) and any other OBJSENSE value
+are rejected with a line number. Each BOUNDS line is checked as it is
+read, so it must name a column COLUMNS declared before: integer-marked
+columns must keep bounds [0,1], and finite bounds on continuous columns
+are folded into extra rows because the model keeps continuous columns
+free. A negative UP bound on a continuous column whose lower bound no
+BOUNDS line has set makes that lower bound -inf, not 0.
 """
 
 from __future__ import annotations
@@ -170,12 +173,13 @@ def parse_mps(text: str) -> MixedBinaryInstance:
     sign = -1.0
     obj_row: Optional[str] = None
     row_sense: dict[str, Sense] = {}
-    # row (objective included) -> its (binary, continuous) {column index: coeff}
+    # row (objective and free rows included) -> its (binary, continuous) {column index: coeff}
     terms: dict[str, tuple[dict[int, float], dict[int, float]]] = {}
     integer_mode = False
     columns: dict[str, tuple[bool, int]] = {}     # name -> (is continuous, index among its kind)
     col_bounds: tuple[list, list] = ([], [])      # [lo, up] per binary, per continuous column
     rhs: dict[str, float] = {}
+    lower_set: set[str] = set()                   # columns whose lower bound a BOUNDS line set
 
     lines = text.splitlines()
     for line_no, raw in enumerate(lines, start=1):
@@ -211,9 +215,7 @@ def parse_mps(text: str) -> MixedBinaryInstance:
                 row_sense[rname] = _SENSE_BY_TAG[tag]
             elif obj_row is None:
                 obj_row = rname
-            else:
-                continue        # only the first N row is the objective
-            terms[rname] = ({}, {})
+            terms[rname] = ({}, {})     # a later N row is a free row, and no row of the instance
         elif section == "COLUMNS":
             if len(fields) >= 3 and fields[1].strip("'\"").upper() == "MARKER":
                 marker = fields[2].strip("'\"").upper()
@@ -260,6 +262,9 @@ def parse_mps(text: str) -> MixedBinaryInstance:
                 raise FormatError(f"bound type {tag!r} not valid for continuous column", line_no)
             if tag in ("FR", "MI", "LO", "FX"):
                 bounds[0] = val if tag in ("LO", "FX") else -np.inf
+                lower_set.add(cname)
+            elif tag == "UP" and val < 0 and cname not in lower_set:
+                bounds[0] = -np.inf     # a negative UP frees a lower bound no line has set
             if tag in ("FR", "PL", "UP", "FX", "UI"):
                 bounds[1] = val if tag in ("UP", "FX", "UI") else np.inf
             if not is_cont and bounds != [0.0, 1.0]:

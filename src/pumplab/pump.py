@@ -368,12 +368,23 @@ class BoundReport:
     iterations: int
     delta: Optional[float]
     tail: Optional[float]
-    params: dict
 
 
-def _ceil_log(v: float) -> int:
-    # guard against 1.0000000000000002-style float noise at integer points
-    return max(1, math.ceil(math.log(v) - 1e-12))
+def _at_least_one(what: str, values) -> list[int]:
+    ints = [int(v) for v in values]
+    if min(ints) < 1:
+        raise ValueError(f"{what} must be at least 1, got {min(ints)}")
+    return ints
+
+
+def _draws(sizes: Sequence[int], caps: Sequence[int], delta: float) -> int:
+    # the one count behind every bound: ceil(ln(k/delta)) * sum_i n_i * c_i^{n_i}
+    if len(sizes) != len(caps):
+        raise ValueError("block_sizes and cert_bounds must align")
+    sizes, caps = _at_least_one("block sizes", sizes), _at_least_one("certificate caps", caps)
+    # the ceiling is guarded against 1.0000000000000002-style float noise at integer points
+    rounds = max(1, math.ceil(math.log(len(sizes) / delta) - 1e-12))
+    return rounds * sum(n * c ** n for n, c in zip(sizes, caps))
 
 
 def theorem_bound(
@@ -388,43 +399,37 @@ def theorem_bound(
 ) -> BoundReport:
     """High-probability iteration bounds for the certificate-walk drivers.
 
-    T1: blockwise walk needs ceil(ln(k/delta)) * sum_i n_i * c_i^{n_i}
-        draws, c_i the per-block certificate-support cap.
-    T2: same with c_i = n_i^2 (separable subset-sum).
-    T3: failure tail (1 - cert_supp^-n)^floor(T/n) after T draws; given
-        delta instead, T = n * cert_supp^n * ceil(ln(1/delta)).
-    T5: pump iterations 2T with T = n * n^(2n) * ceil(ln(1/delta)).
+    Every bound is one count: ceil(ln(k/delta)) * sum_i n_i * c_i^{n_i}
+    draws over k blocks of n_i binaries whose certificate support is
+    capped at c_i.
+    T1: the caps c_i are given (cert_bounds).
+    T2: c_i = n_i^2 (separable subset-sum).
+    T3: one block with c = cert_supp, and the failure tail
+        (1 - c^-n)^floor(T/n) after T draws; T is the count unless given.
+    T5: pump iterations 2T, with T and the tail those of T3 at c = n^2.
+    delta must lie in (0, 1), n, block sizes and caps must be at least 1,
+    and T at least 0; ValueError otherwise.
     """
     name = "T" + theorem.upper().lstrip("T")
-    if name == "T1":
-        if not block_sizes or not cert_bounds or delta is None:
-            raise ValueError("T1 needs block_sizes, cert_bounds, delta")
-        if len(block_sizes) != len(cert_bounds):
-            raise ValueError("block_sizes and cert_bounds must align")
-        k = len(block_sizes)
-        total = sum(int(ni) * int(ci) ** int(ni) for ni, ci in zip(block_sizes, cert_bounds))
-        iters = _ceil_log(k / delta) * total
-        return BoundReport("T1", iters, delta, None, {"block_sizes": tuple(block_sizes), "cert_bounds": tuple(cert_bounds)})
-    if name == "T2":
-        if not block_sizes or delta is None:
-            raise ValueError("T2 needs block_sizes, delta")
-        k = len(block_sizes)
-        total = sum(int(ni) * int(ni) ** (2 * int(ni)) for ni in block_sizes)
-        iters = _ceil_log(k / delta) * total
-        return BoundReport("T2", iters, delta, None, {"block_sizes": tuple(block_sizes)})
-    if name == "T3":
-        if n is None or cert_supp is None:
-            raise ValueError("T3 needs n and cert_supp")
-        if T is None:
-            if delta is None:
-                raise ValueError("T3 needs T or delta")
-            T = int(n) * int(cert_supp) ** int(n) * _ceil_log(1.0 / delta)
-        tail = (1.0 - float(cert_supp) ** (-int(n))) ** (int(T) // int(n))
-        return BoundReport("T3", int(T), delta, tail, {"n": int(n), "cert_supp": int(cert_supp)})
+    if name not in ("T1", "T2", "T3", "T5"):
+        raise ValueError(f"unknown theorem id {theorem!r}")
+    if delta is not None and not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie strictly between 0 and 1, got {delta!r}")
     if name == "T5":
         if n is None or delta is None:
             raise ValueError("T5 needs n and delta")
-        T_half = int(n) * int(n) ** (2 * int(n)) * _ceil_log(1.0 / delta)
-        tail = (1.0 - (1.0 / int(n) ** 2) ** int(n)) ** (T_half // int(n)) if n > 1 else 0.0
-        return BoundReport("T5", 2 * T_half, delta, tail, {"n": int(n)})
-    raise ValueError(f"unknown theorem id {theorem!r}")
+        half = theorem_bound("T3", n=n, cert_supp=int(n) ** 2, delta=delta)
+        return BoundReport("T5", 2 * half.iterations, delta, half.tail)
+    if name == "T3":
+        if n is None or cert_supp is None or (T is None and delta is None):
+            raise ValueError("T3 needs n, cert_supp, and T or delta")
+        n, c = _at_least_one("n and cert_supp", (n, cert_supp))
+        T = _draws([n], [c], delta) if T is None else int(T)
+        if T < 0:
+            raise ValueError(f"T must be at least 0, got {T}")
+        return BoundReport("T3", T, delta, (1.0 - float(c) ** -n) ** (T // n))
+    if name == "T2" and block_sizes:
+        cert_bounds = [int(ni) ** 2 for ni in block_sizes]
+    if not block_sizes or not cert_bounds or delta is None:
+        raise ValueError(f"{name} needs block_sizes, {'cert_bounds, ' if name == 'T1' else ''}delta")
+    return BoundReport(name, _draws(block_sizes, cert_bounds, delta), delta, None)

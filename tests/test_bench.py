@@ -253,3 +253,27 @@ def test_default_suite_sizes():
     assert len(two_stage_suite(ks=(5,), ps=(10, 20))) == 10
     names = [i.name for i in two_stage_suite(ks=(5,), ps=(10, 20))]
     assert len(set(names)) == len(names)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(runs=0), "runs"),
+    (dict(delta=0.0), "delta"),
+    (dict(delta=1.5), "delta"),
+    (dict(delta=1.0), "delta"),
+    (dict(cap_limit=0), "cap_limit"),
+], ids=["no-runs", "delta-zero", "delta-above-one", "delta-one", "no-cap"])
+def test_bound_suite_rejects_bad_inputs_before_running(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        run_bound_suite("1", **kwargs)
+
+
+@pytest.mark.parametrize("theorem, ks, ns", [
+    ("1", (2, 3), (3, 4, 5, 6)),
+    ("2", (1, 2, 3), (3, 4, 5)),
+    ("5", (1, 2, 3), (3, 4, 5)),
+])
+def test_bound_suite_defaults_to_the_theorems_grid(theorem, ks, ns):
+    # theorems 2 and 5 used to default to theorem 1's grid
+    runs = len(ks) * len(ns)
+    res = run_bound_suite(theorem, runs=runs, cap_limit=2000)
+    assert [(k, n) for k, n, *_ in res.details] == [(k, n) for k in ks for n in ns]

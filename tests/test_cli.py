@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from pumplab.bench import subset_sum_suite, two_stage_suite
 from pumplab.cli import _parse_seeds, _parse_tt, _point_lines, load_instance, main
 from pumplab.formats import read_native
 from pumplab.model import MixedPoint
@@ -199,6 +200,20 @@ def test_bench_family_table_and_csv(tmp_path, capsys):
     lines = csv_path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "instance,algorithm,seed,outcome,iterations,perturbations,restarts,wall_time_s"
     assert len(lines) == 9
+
+
+@pytest.mark.parametrize("flags, suite", [
+    ((), subset_sum_suite),
+    (("--family", "two-stage", "--ks", "5", "--per-config", "1"), lambda: two_stage_suite(ks=(5,), per_config=1)),
+], ids=["subset-sum-defaults", "two-stage-given-flags"])
+def test_bench_family_leaves_flags_not_given_to_the_suite(tmp_path, capsys, flags, suite):
+    # subset-sum used to get the CLI's own per-config of 5 instead of the suite's 1
+    csv_path = tmp_path / "rows.csv"
+    rc, _, _ = run_cli(capsys, "bench", *(flags or ("--family", "subset-sum")), "--algs", "naive",
+                       "--seeds", "1", "--max-iter", "0", "--csv", str(csv_path))
+    assert rc == 0
+    names = [line.split(",")[0] for line in csv_path.read_text(encoding="utf-8").splitlines()[1:]]
+    assert names == sorted(inst.name for inst in suite())
 
 
 def test_bench_accepts_instance_files(tmp_path, capsys):

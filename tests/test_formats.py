@@ -276,3 +276,38 @@ def test_mps_round_trip_runs_the_same_trace(alg):
     back = parse_mps(write_mps(inst))
     want = pump.run(alg, inst, make_rng(7), max_iter=300).to_lines()
     assert pump.run(alg, back, make_rng(7), max_iter=300).to_lines() == want
+
+
+def test_mps_extra_n_rows_are_free_rows():
+    # N rows after the first are free rows: their COLUMNS and RHS entries are dropped
+    text = (
+        "NAME f\nROWS\n N cost\n N other\n L r1\nCOLUMNS\n"
+        "    x r1 1.0 other 2.0\n    x cost 3.0\n    y other 5.0\n"
+        "RHS\n    rhs r1 4.0 other 7.0\nBOUNDS\n FR bnd x\n FR bnd y\nENDATA\n"
+    )
+    inst = parse_mps(text)
+    assert inst.n == 0 and inst.d == 2
+    assert len(inst.rows) == 1
+    assert dict(inst.rows[0].cont_coeffs) == {0: 1.0} and inst.rows[0].rhs == 4.0
+    assert dict(inst.objective.cont_coeffs) == {0: -3.0}
+    # a repeated name is still rejected, for a free row too
+    for rows in (" N cost\n N other\n N other\n", " N cost\n N other\n L other\n", " N cost\n N cost\n"):
+        with pytest.raises(FormatError, match="declared twice"):
+            parse_mps("NAME f\nROWS\n" + rows + " L r1\nCOLUMNS\n    x r1 1.0\nENDATA\n")
+
+
+def test_mps_negative_upper_bound_frees_an_unset_lower_bound():
+    base = "NAME u\nROWS\n L r1\nCOLUMNS\n    y r1 1.0\nRHS\n    rhs r1 4.0\nBOUNDS\n"
+    inst = parse_mps(base + " UP bnd y -2.0\nENDATA\n")
+    assert len(inst.rows) == 2            # y <= -2 only, with no lower-bound row
+    assert dict(inst.rows[1].cont_coeffs) == {0: 1.0} and inst.rows[1].rhs == -2.0
+    # a lower bound set by a BOUNDS line, before or after, is kept
+    for bounds in (" LO bnd y -5.0\n UP bnd y -2.0\n", " UP bnd y -2.0\n LO bnd y -5.0\n"):
+        rows = parse_mps(base + bounds + "ENDATA\n").rows
+        assert [(dict(r.cont_coeffs), r.rhs) for r in rows[1:]] == [({0: -1.0}, 5.0), ({0: 1.0}, -2.0)]
+    # an explicit LO 0 stays, infeasible as the file states it
+    rows = parse_mps(base + " LO bnd y 0.0\n UP bnd y -2.0\nENDATA\n").rows
+    assert [(dict(r.cont_coeffs), r.rhs) for r in rows[1:]] == [({0: -1.0}, -0.0), ({0: 1.0}, -2.0)]
+    # a nonnegative UP keeps the default lower bound 0
+    rows = parse_mps(base + " UP bnd y 2.0\nENDATA\n").rows
+    assert [(dict(r.cont_coeffs), r.rhs) for r in rows[1:]] == [({0: -1.0}, -0.0), ({0: 1.0}, 2.0)]

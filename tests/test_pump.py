@@ -462,3 +462,34 @@ def test_run_looks_up_entry_points_and_rules_on_the_module(monkeypatch):
     assert pump.run("wfp", inst, make_rng(0), max_iter=50, record=False).found
     assert seen[:3] == ["run_original_fp", "original_perturb", "original_perturb"]
     assert seen[3] == "run_wfp" and "perturb_l" in seen[4:]
+
+
+@pytest.mark.parametrize("theorem, kwargs", [
+    ("T1", dict(block_sizes=[2], cert_bounds=[2], delta=0.0)),
+    ("T1", dict(block_sizes=[2], cert_bounds=[2], delta=1.5)),
+    ("T2", dict(block_sizes=[2], delta=1.0)),
+    ("T3", dict(n=2, cert_supp=2, delta=-0.1)),
+    ("T5", dict(n=2, delta=0.0)),
+], ids=["t1-zero", "t1-above-one", "t2-one", "t3-negative", "t5-zero"])
+def test_bound_rejects_delta_outside_unit_interval(theorem, kwargs):
+    with pytest.raises(ValueError, match="delta"):
+        theorem_bound(theorem, **kwargs)
+
+
+@pytest.mark.parametrize("theorem, kwargs", [
+    ("T1", dict(block_sizes=[0], cert_bounds=[2], delta=0.1)),
+    ("T1", dict(block_sizes=[2, 3], cert_bounds=[2, 0], delta=0.1)),
+    ("T2", dict(block_sizes=[3, 0], delta=0.1)),
+    ("T3", dict(n=0, cert_supp=2, delta=0.1)),
+    ("T3", dict(n=2, cert_supp=0, T=8)),
+    ("T5", dict(n=0, delta=0.1)),
+], ids=["t1-size", "t1-cap", "t2-size", "t3-n", "t3-cap", "t5-n"])
+def test_bound_rejects_sizes_and_caps_below_one(theorem, kwargs):
+    with pytest.raises(ValueError, match="at least 1"):
+        theorem_bound(theorem, **kwargs)
+
+
+def test_bound_rejects_negative_draw_count():
+    with pytest.raises(ValueError, match="T must be at least 0"):
+        theorem_bound("T3", n=2, cert_supp=2, T=-4)    # gave a tail above 1
+    assert theorem_bound("T3", n=2, cert_supp=2, T=0).tail == 1.0
