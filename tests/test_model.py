@@ -1,8 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from pumplab.errors import DimensionMismatch, InvalidInstance
-from pumplab.gen import fractional_stall_instance, gen_subset_sum, gen_two_stage
+from pumplab.gen import (
+    BlockSpec,
+    fractional_stall_instance,
+    gen_decomposable,
+    gen_subset_sum,
+    gen_two_stage,
+    zero_frac_stall_instance,
+)
 from pumplab.model import (
     Block,
     LinearRow,
@@ -143,3 +152,47 @@ def test_detect_blocks_dense_row_is_one_block():
 def test_detect_blocks_two_stage_is_coupled():
     inst = gen_two_stage(3, 4, 2, make_rng(3)).instance
     assert len(detect_blocks(inst)) == 1
+
+
+def _mixed_sense_instance(rng, i):
+    # rows of random senses over n binaries and d continuous columns, in
+    # blocks of up to three rows whose row tuples are sorted
+    n, d, m = int(rng.integers(1, 6)), int(rng.integers(0, 3)), int(rng.integers(0, 7))
+    rows = []
+    for _ in range(m):
+        cb = {j: float(v) for j, v in enumerate(rng.integers(-4, 5, size=n).tolist())}
+        cc = {j: float(v) / 2 for j, v in enumerate(rng.integers(-4, 5, size=d).tolist())}
+        sense = (Sense.LE, Sense.GE, Sense.EQ)[int(rng.integers(0, 3))]
+        rows.append(LinearRow(cb, cc, sense, float(rng.integers(-6, 7)) / 4))
+    blocks = None
+    if i % 2 and m:
+        blocks = (Block(tuple(range(n)), tuple(range(d)), tuple(range(m))),)
+    return MixedBinaryInstance(name=f"mixed{i}", n=n, d=d, rows=tuple(rows), blocks=blocks)
+
+
+def _normal_form(inst):
+    # every field of a normalized instance, floats as hex
+    def row(r):
+        return (sorted((j, v.hex()) for j, v in r.bin_coeffs.items()),
+                sorted((j, v.hex()) for j, v in r.cont_coeffs.items()), r.sense.value, r.rhs.hex())
+
+    return repr((inst.name, inst.n, inst.d, [row(r) for r in inst.rows], inst.objective,
+                 inst.blocks, inst.row_origin))
+
+
+def test_normalize_digest():
+    # generated and mixed-sense instances, normalized once and twice; the
+    # digest was taken from the code before normalize became one loop
+    rng = make_rng(2024)
+    insts = [gen_subset_sum(k, n, make_rng(k, n)).instance for k in (1, 2, 3) for n in (3, 5)]
+    insts += [gen_two_stage(k, 4, 3, make_rng(k)).instance for k in (1, 2, 4)]
+    insts += [gen_decomposable(k, BlockSpec(n=4, d=d, rows=3, s=2), make_rng(k, d)).instance
+              for k in (1, 3) for d in (0, 2)]
+    insts += [fractional_stall_instance(), zero_frac_stall_instance(4)]
+    insts += [_mixed_sense_instance(rng, i) for i in range(120)]
+    digest = hashlib.sha256()
+    for inst in insts:
+        once = normalize(inst)
+        assert normalize(once) is once
+        digest.update(_normal_form(once).encode())
+    assert digest.hexdigest() == "0b770f01aba36df1d4cb5f331651b8f93b1d4147d0f35f94fd6f3d7a142391b9"
