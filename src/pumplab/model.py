@@ -188,12 +188,19 @@ def dense_objective(instance: MixedBinaryInstance):
     return cb, cc
 
 
-def _flip_row(row: LinearRow) -> LinearRow:
+# the signs of each sense's <= halves: a >= row flips, an = row splits into both
+_HALF_SIGNS = {Sense.LE: (1,), Sense.GE: (-1,), Sense.EQ: (1, -1)}
+
+
+def _le_half(row: LinearRow, sign: int) -> LinearRow:
+    # sign * row in <= form; a <= row's + half is the row itself
+    if sign > 0 and row.sense is Sense.LE:
+        return row
     return LinearRow(
-        {j: -v for j, v in row.bin_coeffs.items()},
-        {j: -v for j, v in row.cont_coeffs.items()},
+        {j: sign * v for j, v in row.bin_coeffs.items()},
+        {j: sign * v for j, v in row.cont_coeffs.items()},
         Sense.LE,
-        -row.rhs,
+        sign * row.rhs,
     )
 
 
@@ -202,44 +209,25 @@ def normalize(instance: MixedBinaryInstance) -> MixedBinaryInstance:
 
     >= rows flip sign, = rows split into a <=/>= pair (the >= half flipped).
     The result carries a row-origin map (source row index, +1 or -1) so
-    certificate supports can be reported against the original rows. Calling
+    certificate supports can be reported against the original rows, and
+    each block's rows are the sorted indices of its rows' halves. Calling
     normalize on an already-normalized instance is the identity.
     """
     if instance.is_normalized() and instance.row_origin is not None:
         return instance
-    if instance.is_normalized():
-        origin = tuple((r, 1) for r in range(instance.m))
-        return replace(instance, row_origin=origin)
-
     rows: list[LinearRow] = []
     origin: list[tuple[int, int]] = []
-    row_map: dict[int, list[int]] = {}
+    halves: list[range] = []
     for r, row in enumerate(instance.rows):
-        row_map[r] = []
-        if row.sense is Sense.LE:
-            rows.append(row)
-            origin.append((r, 1))
-            row_map[r].append(len(rows) - 1)
-        elif row.sense is Sense.GE:
-            rows.append(_flip_row(row))
-            origin.append((r, -1))
-            row_map[r].append(len(rows) - 1)
-        else:
-            rows.append(LinearRow(row.bin_coeffs, row.cont_coeffs, Sense.LE, row.rhs))
-            origin.append((r, 1))
-            row_map[r].append(len(rows) - 1)
-            rows.append(_flip_row(row))
-            origin.append((r, -1))
-            row_map[r].append(len(rows) - 1)
-
+        signs = _HALF_SIGNS[row.sense]
+        halves.append(range(len(rows), len(rows) + len(signs)))
+        for sign in signs:
+            rows.append(_le_half(row, sign))
+            origin.append((r, sign))
     blocks = None
     if instance.blocks is not None:
         blocks = tuple(
-            Block(
-                blk.bin_idx,
-                blk.cont_idx,
-                tuple(sorted(nr for r in blk.row_idx for nr in row_map[r])),
-            )
+            Block(blk.bin_idx, blk.cont_idx, tuple(sorted(nr for r in blk.row_idx for nr in halves[r])))
             for blk in instance.blocks
         )
     return MixedBinaryInstance(

@@ -93,6 +93,15 @@ def test_normalize_identity_on_le_instance():
     assert normalize(norm) == norm  # idempotent, origin map kept
 
 
+def test_normalize_sorts_block_rows_of_an_all_le_instance():
+    # as on instances with >= or = rows, each block's rows come out sorted
+    rows = (LinearRow({0: 1.0}, {}, Sense.LE, 1.0), LinearRow({1: 1.0}, {}, Sense.LE, 1.0))
+    inst = MixedBinaryInstance(name="le2", n=2, d=0, rows=rows, blocks=(Block((0, 1), (), (1, 0)),))
+    norm = normalize(inst)
+    assert norm.rows == rows and norm.row_origin == ((0, 1), (1, 1))
+    assert norm.blocks == (Block((0, 1), (), (0, 1)),)
+
+
 def test_normalize_idempotent_on_generated_instances():
     for seed in range(10):
         inst = gen_subset_sum(2, 3, make_rng(seed)).instance
