@@ -14,7 +14,7 @@ certificates, pumps) works on the normalized all-<= form produced by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional
 
@@ -227,7 +227,11 @@ def normalize(instance: MixedBinaryInstance) -> MixedBinaryInstance:
     blocks = None
     if instance.blocks is not None:
         blocks = tuple(
-            Block(blk.bin_idx, blk.cont_idx, tuple(sorted(nr for r in blk.row_idx for nr in halves[r])))
+            Block(
+                blk.bin_idx,
+                blk.cont_idx,
+                tuple(sorted(nr for r in blk.row_idx for nr in halves[r])),
+            )
             for blk in instance.blocks
         )
     return MixedBinaryInstance(
