@@ -14,8 +14,8 @@ a fixed config (assuming no run straddles the time limit).
 
 Tasks run instance by instance, so the runs on one instance share its
 compiled view and the prefix chain of its projection LP (see
-`pumplab.lp`): all but the first resolve nothing before their first
-random draw. A chain hit gives the answer the resolve would give, so
+`pumplab.projection`): all but the first resolve nothing before their
+first random draw. A chain hit gives the answer the resolve would give, so
 neither the order of the tasks nor their split among workers changes a
 row.
 
@@ -112,6 +112,11 @@ class BenchConfig:
             raise ValueError(f"max_iter must be at least 0, got {self.max_iter}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        for seed in self.seeds:
+            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+                raise ValueError(f"seeds must be non-negative integers, got {seed!r}")
+        if not self.time_limit > 0:     # NaN included
+            raise ValueError(f"time_limit must be above 0, got {self.time_limit!r}")
         names = [inst.name for inst in self.instances]
         if len(set(names)) != len(names):
             raise ValueError("instance names must be unique within a benchmark")
