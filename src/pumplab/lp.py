@@ -39,18 +39,9 @@ CompiledInstance holds that per-instance state: the normalized instance,
 its dense rows, and the solvers of the LPs built on them, after phase 1.
 `CompiledInstance.of` keeps one view, the most recent instance's, so the
 state of one instance does not outlive the runs on the next. Memo tables
-stay with each oracle. The view also keeps the projection LP's prefix
-chain: node i holds the key of a run's i-th resolve, the oracle's answer
-and a clone of the solver after it. A resolve's answer and the state it
-leaves depend only on the base solver and the costs resolved since, so a
-run whose resolves so far match nodes 0..i-1 and whose next key is node
-i's may take node i's answer without resolving. Every run on an instance
-makes the same resolves until its first random draw, so all but the
-first share them. A run follows the chain while its keys match, extends
-it at its tip, and on a mismatch or before its first draw leaves it for
-good from a clone of the last node it matched. A node is added only once
-its resolve and answer have succeeded. So no answer depends on the order
-of runs, and a run that raises raises again on the next run.
+stay with each oracle. The view also keeps `chain`, the projection LP's
+prefix chain, which `pumplab.projection` owns: its rules and its nodes
+are described there.
 
 Pivot update: when j enters at row r and k leaves, k's unit column e_r
 is written into j's slot before the divide and the rank-1 update, which
@@ -93,7 +84,7 @@ import copy
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -468,16 +459,6 @@ class SimplexSolver:
         return np.where(np.abs(x - up) <= SNAP_TOL, up, x)
 
 
-class ChainNode(NamedTuple):
-    """One resolve shared by the runs on an instance: its key, the answer
-    the oracle built from it, and the solver state it left. The solver is
-    only ever cloned, never resolved again."""
-
-    key: object
-    answer: object
-    solver: SimplexSolver
-
-
 class CompiledInstance:
     """One instance compiled for the LPs built on it.
 
@@ -486,8 +467,7 @@ class CompiledInstance:
     test of a point against them. solver(build) returns the solver of the
     LpProblem build(view) describes, after phase 1, which runs when it is
     first asked for; it is shared, so callers resolve only clones of it.
-    `chain` is the projection LP's prefix chain of ChainNodes (see the
-    module docstring). Views come from `of`.
+    Views come from `of`.
     """
 
     _last: Optional["CompiledInstance"] = None
@@ -500,7 +480,7 @@ class CompiledInstance:
             arr.flags.writeable = False
         self.A, self.B, self.b = A, B, b
         self._solvers: dict = {}
-        self.chain: list[ChainNode] = []
+        self.chain: list = []      # the projection LP's prefix chain; pumplab.projection owns it
 
     @classmethod
     def of(cls, instance: MixedBinaryInstance) -> "CompiledInstance":

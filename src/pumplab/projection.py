@@ -11,18 +11,30 @@ from the instance's compiled solver after phase 1, and memoizes every
 distinct x~ it has projected, so pump loops that revisit a rounded point
 pay a dict lookup instead of an LP solve.
 
-On a memo miss, and for the relaxation, the oracle first follows the
-view's prefix chain (see `pumplab.lp`): the relaxation's key is a marker
-and a projection's its point's bytes. A match takes the node's answer
-without resolving; it still enters the memo and counts in `lp_solves`,
-which counts resolves and chain hits alike. An oracle on the chain holds
-no solver of its own: it clones one when it extends the chain or, after
-`leave_chain` or a mismatch, at its next miss. The drivers leave before
-their first draw, so the chain holds only the deterministic prefix of
-the runs, at most CHAIN_CAP resolves: the runs of the three benchmark
-workloads and of criterion 10's grid make 0 to 5 resolves before their
-first draw, and naive, which never draws, stops at the cap. Answers the
-chain hands out are shared between runs, so their arrays are read-only.
+The runs on an instance share their resolves before their first random
+draw through the view's prefix chain, `CompiledInstance.chain`, which this
+module alone reads and extends. Each run starts on the instance's
+deterministic trajectory: node 0 is the relaxation, and node i+1 is the
+projection of the rounding of node i's answer. A ChainNode holds the
+answer, a clone of the solver after it, and the key its successor must
+have: the rounding's bytes (the relaxation's own key is a marker). A
+resolve's answer and the state it leaves depend only on the base solver
+and the costs resolved since, so a resolve whose key is the trajectory's
+i-th takes node i's answer without resolving, the node being added first
+when the chain ends at i. Any other resolve leaves the chain for good and
+goes on from a clone of the last node taken. No driver says when it
+draws: before its first draw a run resolves only trajectory points, each
+the rounding of the last projection (a memo hit means it cycles and will
+resolve nothing until it draws), and that next key is then in its memo,
+so no later miss matches it. A node is added only once its resolve and
+answer have succeeded, so no answer depends on the order of runs, and a
+run that raises raises again on the next run. A chain hit still enters
+the memo and counts in `lp_solves`, which counts resolves and chain hits
+alike. The chain holds at most CHAIN_CAP resolves: the runs of the three
+benchmark workloads and of criterion 10's grid make 0 to 5 resolves
+before their first draw, and naive, which never draws, stops at the cap.
+Answers the chain hands out are shared between runs, so their arrays are
+read-only.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InstanceInfeasible, NoFixpoint, NonBinaryVector
-from .lp import ChainNode, CompiledInstance, LpProblem, LpStatus, SimplexSolver
+from .lp import CompiledInstance, LpProblem, LpStatus, SimplexSolver
 from .model import MixedBinaryInstance, Sense, dense_objective
 # perfbench/tracing.py wraps these two names in this module's namespace
 from .model import dense_rows, normalize  # noqa: F401
@@ -40,7 +52,7 @@ from .model import dense_rows, normalize  # noqa: F401
 ROUND_SNAP = 1e-9
 INT_TOL = 1e-6
 CHAIN_CAP = 8              # the most resolves a view's prefix chain holds
-_RELAXATION = "relaxation"  # the chain key of the relaxation; a projection's is its point's bytes
+_RELAXATION = "relaxation"  # the trajectory key of the relaxation; a projection's is its point's bytes
 _INT8 = np.dtype(np.int8)
 
 
@@ -80,6 +92,16 @@ class ProjectionEntry(NamedTuple):
     integral: bool         # x_bar within INT_TOL of rounded
 
 
+class ChainNode(NamedTuple):
+    """One resolve on the instance's trajectory: the oracle's answer, the
+    solver state it left (only ever cloned, never resolved again) and the
+    key the next node must have."""
+
+    answer: object
+    solver: SimplexSolver
+    next_key: bytes
+
+
 def _projection_problem(view: CompiledInstance) -> LpProblem:
     # the relaxation x in [0, 1]^n, y free, normalized rows; the cost row
     # is set by each resolve
@@ -101,45 +123,39 @@ class ProjectionOracle:
         self.instance = instance
         self.view = CompiledInstance.of(instance)
         self.n, self.d = instance.n, instance.d
-        base = self.view.solver(_projection_problem)
-        if not base.ensure_phase1():
+        # the state the next resolve starts from: shared (the base or a
+        # chain node's, only ever cloned) while on the trajectory, and the
+        # oracle's own clone once off it
+        self.solver: SimplexSolver = self.view.solver(_projection_problem)
+        if not self.solver.ensure_phase1():
             raise InstanceInfeasible(f"instance {instance.name!r} has an empty relaxation")
         self.cache: dict[bytes, ProjectionEntry] = {}
         self.lp_solves = 0         # resolves and chain hits alike
-        self.solver: Optional[SimplexSolver] = None    # this oracle's own, once it has one
-        self._state = base         # the shared state it would clone: the base or a node's
-        self._depth: Optional[int] = 0     # chain nodes matched; None once off the chain
+        self._depth = 0            # chain nodes taken
+        self._next: Optional[object] = _RELAXATION     # the trajectory's next key; None once off it
 
-    def leave_chain(self) -> None:
-        """Go on alone from the last chain node matched, for good. The
-        drivers call it before their first random draw."""
-        self._depth = None
-
-    def _resolve(self, key, compute):
-        # compute(solver) for the next resolve, keyed by key: taken from
-        # the chain while this oracle's resolves match it, added to it at
-        # its tip, otherwise computed on the oracle's own clone
-        depth = self._depth
-        if depth is not None:
-            chain = self.view.chain
-            if depth < len(chain):
-                node = chain[depth]
-                if node.key == key:
-                    self._depth, self._state = depth + 1, node.solver
-                    return node.answer
-            elif depth < CHAIN_CAP:
-                # until compute returns, the oracle is off the chain with
-                # this clone, so a raise leaves the chain as it was
-                solver = self.solver = self._state.clone()
-                self._depth = None
+    def _resolve(self, key, compute, successor):
+        # compute(solver) for the next resolve, keyed by key, successor(answer)
+        # being the key after it: node depth's answer while key is the
+        # trajectory's next, the node added first at the chain's tip;
+        # otherwise, for good, computed on the oracle's own clone
+        depth, chain = self._depth, self.view.chain
+        if key == self._next and depth < CHAIN_CAP:
+            if depth == len(chain):
+                # a raise leaves the chain and the oracle as they were
+                solver = self.solver.clone()
                 answer = compute(solver)
-                chain.append(ChainNode(key, answer, solver))
-                self._depth, self._state, self.solver = depth + 1, solver, None
-                return answer
-            self._depth = None
-        if self.solver is None:
-            self.solver = self._state.clone()
-        return compute(self.solver)
+                chain.append(ChainNode(answer, solver, successor(answer)))
+            node = chain[depth]
+            self._depth, self.solver, self._next = depth + 1, node.solver, node.next_key
+            out = node.answer
+        else:
+            if self._next is not None:     # leaving: go on from a clone of the last node taken
+                self.solver = self.solver.clone()
+            self._next = None
+            out = compute(self.solver)
+        self.lp_solves += 1
+        return out
 
     def relaxation(self) -> tuple[np.ndarray, np.ndarray]:
         """An optimal vertex of the relaxation (zero objective when absent),
@@ -148,9 +164,7 @@ class ProjectionOracle:
         Falls back to a zero-objective vertex if the stated objective is
         unbounded over the relaxation.
         """
-        out = self._resolve(_RELAXATION, self._relax)
-        self.lp_solves += 1
-        return out
+        return self._resolve(_RELAXATION, self._relax, lambda xy: round_binary(xy[0]).tobytes())
 
     def _relax(self, solver: SimplexSolver) -> tuple[np.ndarray, np.ndarray]:
         cb, cc = dense_objective(self.instance)
@@ -174,8 +188,8 @@ class ProjectionOracle:
         if key.translate(None, b"\x00\x01"):
             raise NonBinaryVector("expected an exact 0/1 vector")
         arr = np.ascontiguousarray(x_tilde).reshape(-1)
-        entry = self.cache[key] = self._resolve(key, lambda solver: self._project(solver, arr))
-        self.lp_solves += 1
+        entry = self.cache[key] = self._resolve(key, lambda solver: self._project(solver, arr),
+                                                lambda e: e.rounded_key)
         return entry
 
     def _project(self, solver: SimplexSolver, arr: np.ndarray) -> ProjectionEntry:

@@ -22,6 +22,10 @@ the flip rules and lift are looked up in this module's namespace when
 they are called, so a wrapper installed on the module sees every call
 (a fractionality stall answered from the run's flip memo makes none).
 
+The drivers make no chain call: the projection oracle alone decides which
+of a run's resolves it shares with the other runs on the instance, those
+before its first draw (see `pumplab.projection`).
+
 Every driver returns a PumpTrace; `iterations` counts projection steps
 (perturbation rounds for the walk driver), and Found outcomes carry a
 point that satisfies the instance rows at LP tolerance.
@@ -174,7 +178,6 @@ def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, rec
             if record:
                 records.append(TraceRecord(t, "stall"))
             if not naive:
-                oracle.leave_chain()
                 if wfp:
                     if certs is None:
                         certs = CertificateOracle(instance)
@@ -193,7 +196,6 @@ def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, rec
                     records.append(TraceRecord(t, "perturb", out.kind, out.flipped))
                 nxt, new_key = out.x_new, out.x_new.tobytes()
         elif wfpbase and new_key in visited:
-            oracle.leave_chain()
             out = restart_perturb(nxt, e.x_bar, rng)
             trace.restarts += 1
             if record:
@@ -276,7 +278,6 @@ def run_mb_walksat(
     if rng is None:
         raise ValueError("rng is required")
     oracle = ProjectionOracle(instance)  # validates feasibility, lifts the found point
-    oracle.leave_chain()                  # the walk's points are drawn
     certs = CertificateOracle(instance)
     trace = PumpTrace("mbwalksat", instance.name, None)
     if start is None:
@@ -330,7 +331,6 @@ def run_wfp_compressed(
             cert = certs.min_certificate(z)
         except NotACertificate:
             return _found(trace, t, lift(oracle, z), record)
-        oracle.leave_chain()
         out = perturb_l(z, cert, l, rng)
         trace.perturbations += 1
         if record:

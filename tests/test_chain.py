@@ -6,14 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pumplab import pump
+from pumplab import projection, pump
 from pumplab.bench import BenchConfig, run_benchmark, two_stage_suite, write_csv
 from pumplab.errors import PumpLabError
-from pumplab.gen import BlockSpec, gen_decomposable, gen_subset_sum
+from pumplab.gen import BlockSpec, gen_decomposable, gen_subset_sum, gen_two_stage
 from pumplab.lp import _STATE_ARRAYS, CompiledInstance, SimplexSolver
 from pumplab.model import LinearRow, MixedBinaryInstance, Sense
 from pumplab.perturb import make_rng
-from pumplab.projection import CHAIN_CAP, ProjectionOracle, _projection_problem
+from pumplab.projection import ProjectionOracle, _projection_problem, round_binary
 
 
 @pytest.fixture
@@ -34,9 +34,25 @@ def _lines(alg, instance, rng):
     return pump.run(alg, instance, rng, max_iter=200).to_lines()
 
 
-def _points(n, codes):
-    # the 0/1 points whose bits, lowest first, spell each code
-    return [np.array([(code >> b) & 1 for b in range(n)], dtype=np.int8) for code in codes]
+def _walk(inst, steps, off=None):
+    # a new oracle's relaxation and its first `steps` projections along the
+    # instance's trajectory, then the projection of `off`, when given; the
+    # x_bar bytes of each projection
+    oracle = ProjectionOracle(inst)
+    x = round_binary(oracle.relaxation()[0])
+    out = []
+    for _ in range(steps):
+        e = oracle.entry(x)
+        out.append(e.x_bar.tobytes())
+        x = e.rounded
+    if off is not None:
+        out.append(oracle.entry(off).x_bar.tobytes())
+    return out
+
+
+def _long_trajectory():
+    # its trajectory is the relaxation and three projections, the last one integral
+    return gen_two_stage(3, 8, 4, make_rng(12)).instance
 
 
 def test_second_run_on_a_view_resolves_less_with_the_same_trace(resolves):
@@ -99,9 +115,10 @@ def test_known_error_repeats_along_the_chain():
 
 def test_shared_answers_are_read_only():
     inst = gen_decomposable(2, BlockSpec(n=3, d=1, rows=2, s=2), make_rng(8)).instance
-    point = np.ones(inst.n, dtype=np.int8)
     a = ProjectionOracle(inst)
-    relaxed, e = a.relaxation(), a.entry(point)
+    relaxed = a.relaxation()
+    point = round_binary(relaxed[0])     # the trajectory's next point
+    e = a.entry(point)
     b = ProjectionOracle(inst)
     assert all(x is y for x, y in zip(b.relaxation(), relaxed)) and b.entry(point) is e
     # a hit enters the memo and counts as a solve, as a resolve does
@@ -135,43 +152,50 @@ def test_serial_and_forked_sweeps_agree():
     assert csv(1) == csv(2)
 
 
-def test_chain_is_capped(resolves):
-    inst = gen_subset_sum(2, 6, make_rng(3)).instance
-    points = _points(inst.n, range(2 * CHAIN_CAP))
-
-    def walk():
-        oracle = ProjectionOracle(inst)
-        oracle.relaxation()
-        return [oracle.entry(x) for x in points]
-
-    first = walk()
-    assert len(CompiledInstance.of(inst).chain) == CHAIN_CAP
+def test_chain_is_capped(resolves, monkeypatch):
+    # a trajectory of four resolves on a chain capped at two
+    monkeypatch.setattr(projection, "CHAIN_CAP", 2)
+    inst = _long_trajectory()
+    first = _walk(inst, 3)
+    assert len(resolves) == 4 and len(set(first)) == 3
+    assert len(CompiledInstance.of(inst).chain) == 2
     made = len(resolves)
-    assert [e.x_bar.tobytes() for e in walk()] == [e.x_bar.tobytes() for e in first]
-    assert len(resolves) - made == 1 + len(points) - CHAIN_CAP
+    assert _walk(inst, 3) == first
+    assert len(resolves) - made == 4 - 2
 
 
 def test_shared_solver_states_never_change():
+    inst = _long_trajectory()
+    view = CompiledInstance.of(inst)
+
+    def states(solvers):
+        return [[getattr(s, name).tobytes() for name in _STATE_ARRAYS] for s in solvers]
+
+    def shared():
+        return [view.solver(_projection_problem)] + [node.solver for node in view.chain]
+
+    first = _walk(inst, 1)
+    before = states(shared())
+    # follow, then extend
+    assert _walk(inst, 3)[:1] == first
+    assert len(view.chain) == 4 and states(shared())[: len(before)] == before
+    before = states(shared())
+    # follow, then leave off the trajectory
+    on = round_binary(ProjectionOracle(inst).relaxation()[0])
+    _walk(inst, 1, off=1 - on)
+    assert len(view.chain) == 4 and states(shared()) == before
+
+
+def test_a_point_off_the_trajectory_is_not_chained():
     inst = gen_subset_sum(2, 6, make_rng(3)).instance
     view = CompiledInstance.of(inst)
-    points = _points(inst.n, (5, 9, 17, 33))
-
-    def walk(pts):
-        oracle = ProjectionOracle(inst)
-        oracle.relaxation()
-        return [oracle.entry(x).x_bar.tobytes() for x in pts]
-
-    def states():
-        return [[getattr(s, name).tobytes() for name in _STATE_ARRAYS] for s in shared]
-
-    first = walk(points[:2])
-    shared = [view.solver(_projection_problem)] + [node.solver for node in view.chain]
-    before = states()
-    # follow, then extend; follow, then leave on a mismatch
-    assert walk(points)[:2] == first
-    walk(points[:1] + points[3:])
-    assert len(view.chain) == 5
-    assert states() == before
+    oracle = ProjectionOracle(inst)
+    on = round_binary(oracle.relaxation()[0])
+    oracle.entry(1 - on)
+    assert len(view.chain) == 1
+    # off it for good: the trajectory's point is not chained either
+    oracle.entry(on)
+    assert len(view.chain) == 1
 
 
 def test_the_walk_leaves_the_chain_at_once():

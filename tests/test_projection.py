@@ -199,9 +199,8 @@ def test_oracles_share_no_memo_or_solver_state():
     inst = gen_subset_sum(3, 4, make_rng(15)).instance
     a, b = ProjectionOracle(inst), ProjectionOracle(inst)
     assert a.cache is not b.cache
-    # off the chain, each oracle resolves a clone of its own
-    a.leave_chain()
-    b.leave_chain()
+    # neither point is the trajectory's first key, the relaxation's: off
+    # the chain, each oracle resolves a clone of its own
     a.entry(np.ones(inst.n, dtype=np.int8))
     assert len(a.cache) == 1 and not b.cache
     b.entry(np.zeros(inst.n, dtype=np.int8))
