@@ -115,8 +115,8 @@ class BenchConfig:
         for seed in self.seeds:
             if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
                 raise ValueError(f"seeds must be non-negative integers, got {seed!r}")
-        if not self.time_limit > 0:     # NaN included
-            raise ValueError(f"time_limit must be above 0, got {self.time_limit!r}")
+        if not self.time_limit >= 0:    # NaN included; 0 times every run out
+            raise ValueError(f"time_limit must be at least 0, got {self.time_limit!r}")
         names = [inst.name for inst in self.instances]
         if len(set(names)) != len(names):
             raise ValueError("instance names must be unique within a benchmark")

@@ -164,7 +164,7 @@ def test_chain_is_capped(resolves, monkeypatch):
     assert len(resolves) - made == 4 - 2
 
 
-def test_shared_solver_states_never_change():
+def test_shared_solver_states_never_change(resolves):
     inst = _long_trajectory()
     view = CompiledInstance.of(inst)
 
@@ -180,9 +180,11 @@ def test_shared_solver_states_never_change():
     assert _walk(inst, 3)[:1] == first
     assert len(view.chain) == 4 and states(shared())[: len(before)] == before
     before = states(shared())
-    # follow, then leave off the trajectory
+    # follow, then leave off the trajectory: one resolve, on a clone
     on = round_binary(ProjectionOracle(inst).relaxation()[0])
+    made = len(resolves)
     _walk(inst, 1, off=1 - on)
+    assert len(resolves) - made == 1
     assert len(view.chain) == 4 and states(shared()) == before
 
 
