@@ -32,7 +32,7 @@ from .model import (
     detect_blocks,
     normalize,
 )
-from .lp import LpProblem, LpSolution, LpStatus, SimplexSolver
+from .lp import CompiledInstance, LpProblem, LpSolution, LpStatus, SimplexSolver
 from .projection import (
     ProjectionEntry,
     ProjectionOracle,

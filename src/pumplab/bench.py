@@ -12,12 +12,12 @@ run whose wall time exceeds the time limit gets outcome "timeout" after
 the fact. Everything except the wall_time_s column is deterministic for
 a fixed config (assuming no run straddles the time limit).
 
-Tasks run instance by instance, so the runs on one instance share its
-compiled view and the prefix chain of its projection LP (see
-`pumplab.projection`): all but the first resolve nothing before their
-first random draw. A chain hit gives the answer the resolve would give, so
-neither the order of the tasks nor their split among workers changes a
-row.
+Tasks run instance by instance, and each process of the sweep hands the
+runs on an instance one view of it, so they share the prefix chain of its
+projection LP (see `pumplab.projection`): all but the first resolve nothing
+before their first random draw. A chain hit gives the answer the resolve
+would give, so neither the order of the tasks nor their split among
+workers changes a row.
 
 CSV columns, in order: instance, algorithm, seed, outcome, iterations,
 perturbations, restarts, wall_time_s. Header row, UTF-8, LF endings.
@@ -26,6 +26,7 @@ perturbations, restarts, wall_time_s. Header row, UTF-8, LF endings.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -39,6 +40,7 @@ import numpy as np
 from .certificate import cert_supp_bound
 from .errors import PumpLabError
 from .gen import gen_subset_sum, gen_two_stage
+from .lp import CompiledInstance
 from .model import MixedBinaryInstance
 from .perturb import DEFAULT_TT_RANGE, make_rng
 from . import pump
@@ -134,7 +136,7 @@ class BenchRow:
     wall_time_s: float
 
 
-def _run_one(cfg: BenchConfig, task) -> BenchRow:
+def _run_one(cfg: BenchConfig, views, task) -> BenchRow:
     inst_idx, alg_idx, seed = task
     instance = cfg.instances[inst_idx]
     alg = cfg.algorithms[alg_idx]
@@ -142,7 +144,7 @@ def _run_one(cfg: BenchConfig, task) -> BenchRow:
     start = time.perf_counter()
     try:
         trace = pump.run(alg, instance, rng, max_iter=cfg.max_iter, flips=cfg.flips,
-                         tt_range=cfg.tt_range, record=False)
+                         tt_range=cfg.tt_range, record=False, view=views(inst_idx))
         outcome = trace.outcome
         iters, perts, restarts = trace.iterations, trace.perturbations, trace.restarts
     except PumpLabError:
@@ -249,17 +251,23 @@ class BenchResult:
         return self.table.render()
 
 
-# the config of the pool a worker process belongs to, set as the worker starts
-_worker_cfg: BenchConfig
+def _runner(cfg: BenchConfig):
+    """run(task): the row of a task of cfg; a task on the last task's instance reuses its view."""
+    views = functools.lru_cache(maxsize=1)(lambda i: CompiledInstance(cfg.instances[i]))
+    return lambda task: _run_one(cfg, views, task)
+
+
+# the task runner of the pool a worker process belongs to, set as the worker starts
+_worker_run = None
 
 
 def _start_worker(cfg: BenchConfig) -> None:
-    global _worker_cfg
-    _worker_cfg = cfg
+    global _worker_run
+    _worker_run = _runner(cfg)
 
 
 def _run_in_worker(task) -> BenchRow:
-    return _run_one(_worker_cfg, task)
+    return _worker_run(task)
 
 
 def run_benchmark(cfg: BenchConfig) -> BenchResult:
@@ -276,7 +284,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchResult:
         with ctx.Pool(cfg.workers, initializer=_start_worker, initargs=(cfg,)) as pool:
             rows = pool.map(_run_in_worker, tasks, chunksize=1)
     else:
-        rows = [_run_one(cfg, t) for t in tasks]
+        rows = list(map(_runner(cfg), tasks))
     rows.sort(key=lambda r: (r.instance, r.algorithm, r.seed))
     return BenchResult(rows=rows)
 

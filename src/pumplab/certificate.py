@@ -91,10 +91,9 @@ class CertificateOracle:
     the lambda-LP's basis would move (see the module docstring).
     """
 
-    def __init__(self, instance: MixedBinaryInstance):
-        self.instance = instance
-        self.view = CompiledInstance.of(instance)
-        if instance.d:
+    def __init__(self, view: CompiledInstance):
+        self.view = view
+        if view.instance.d:
             self.solver = self.view.solver(_lambda_problem).clone()
             # infeasible lambda-LP means no certificate can exist for any point
             self.possible = self.solver.ensure_phase1()
@@ -110,8 +109,8 @@ class CertificateOracle:
         hit = self.cache.get(key)
         if hit is not None:
             return hit
-        if x.shape != (self.instance.n,):
-            raise DimensionMismatch(f"point has {x.size} entries, instance has {self.instance.n} binaries")
+        if x.shape != (self.view.instance.n,):
+            raise DimensionMismatch(f"point has {x.size} entries, instance has {self.view.instance.n} binaries")
         if not np.isfinite(x).all():
             raise NonBinaryVector("a certificate needs a finite point")
         if not self.possible:

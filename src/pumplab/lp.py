@@ -37,11 +37,11 @@ ran phase 1 once for the instance.
 
 CompiledInstance holds that per-instance state: the normalized instance,
 its dense rows, and the solvers of the LPs built on them, after phase 1.
-`CompiledInstance.of` keeps one view, the most recent instance's, so the
-state of one instance does not outlive the runs on the next. Memo tables
-stay with each oracle. The view also keeps `chain`, the projection LP's
-prefix chain, which `pumplab.projection` owns: its rules and its nodes
-are described there.
+The caller builds the view and hands it to the oracles and runs on the
+instance; the state lives as long as the caller keeps the view. Memo
+tables stay with each oracle. The view also keeps `chain`, the projection
+LP's prefix chain, which `pumplab.projection` owns: its rules and its
+nodes are described there.
 
 Pivot update: when j enters at row r and k leaves, k's unit column e_r
 is written into j's slot before the divide and the rank-1 update, which
@@ -53,8 +53,8 @@ rank-1 update touches only the rows where the pivot column is nonzero
 when fewer than a quarter of the rows are, and the whole matrix
 otherwise, where gathering and scattering most rows costs more than
 updating all of them. Each side carries one
-workload: in a seed-0 benchmark pass, two-stage makes 17,338 dense and
-168 sparse updates, and decomp-walk 153 dense and 5,410 sparse.
+workload: in a seed-0 benchmark pass, two-stage makes 14,111 dense and
+145 sparse updates, and decomp-walk 153 dense and 4,535 sparse.
 
 Pricing state: the solver keeps, beside vstat, what pricing and the
 ratio test read, so no round re-derives it. `price_up` is -1 where a
@@ -467,10 +467,8 @@ class CompiledInstance:
     test of a point against them. solver(build) returns the solver of the
     LpProblem build(view) describes, after phase 1, which runs when it is
     first asked for; it is shared, so callers resolve only clones of it.
-    Views come from `of`.
+    The caller owns the view and passes it to whatever runs on the instance.
     """
-
-    _last: Optional["CompiledInstance"] = None
 
     def __init__(self, instance: MixedBinaryInstance):
         self.instance = instance
@@ -481,17 +479,6 @@ class CompiledInstance:
         self.A, self.B, self.b = A, B, b
         self._solvers: dict = {}
         self.chain: list = []      # the projection LP's prefix chain; pumplab.projection owns it
-
-    @classmethod
-    def of(cls, instance: MixedBinaryInstance) -> "CompiledInstance":
-        """The view of instance. Only the most recent instance's view is
-        kept (instances compared with `is`): building another instance's
-        view drops it, its chain included."""
-        view = cls._last
-        if view is None or view.instance is not instance:
-            cls._last = None       # let the old view go before building
-            view = cls._last = cls(instance)
-        return view
 
     def violated_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Mask of the normalized rows that (x, y) violates by more than ROW_TOL."""

@@ -22,7 +22,6 @@ import numpy as np
 from .certificate import ProjectedCertificate
 from .errors import DimensionMismatch, EmptyCertificateSupport
 from .lp import CompiledInstance
-from .model import MixedBinaryInstance
 # perfbench/tracing.py wraps these two names in this module's namespace
 from .model import dense_rows, normalize  # noqa: F401
 
@@ -111,19 +110,18 @@ def wfpbase_perturb(
     x_tilde,
     x_bar,
     y_bar,
-    instance: MixedBinaryInstance,
+    view: CompiledInstance,
     rng: np.random.Generator,
     tt: int,
 ) -> PerturbOutcome:
     """The original rule while TT <= |F|, drawing nothing; otherwise flip
     all of F plus min(|S|, TT - |F|) indices drawn without replacement from
     S (one rng.choice draw), the union of binary supports of rows violated
-    at (x~, y) among the normalized rows.
+    at (x~, y) among the view's normalized rows.
     """
     positive = _fractional(x_tilde, x_bar)
     if tt <= positive.size:
         return _outcome(x_tilde, positive[:tt], "wfpbase")
-    view = CompiledInstance.of(instance)
     x = np.asarray(x_tilde, dtype=float).reshape(-1)
     y = np.asarray(y_bar, dtype=float).reshape(-1)
     s_union = np.flatnonzero(view.A[view.violated_rows(x, y)].any(axis=0))

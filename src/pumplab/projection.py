@@ -11,30 +11,30 @@ from the instance's compiled solver after phase 1, and memoizes every
 distinct x~ it has projected, so pump loops that revisit a rounded point
 pay a dict lookup instead of an LP solve.
 
-The runs on an instance share their resolves before their first random
-draw through the view's prefix chain, `CompiledInstance.chain`, which this
-module alone reads and extends. Each run starts on the instance's
-deterministic trajectory: node 0 is the relaxation, and node i+1 is the
-projection of the rounding of node i's answer. A ChainNode holds the
-answer, a clone of the solver after it, and the key its successor must
-have: the rounding's bytes (the relaxation's own key is a marker). A
-resolve's answer and the state it leaves depend only on the base solver
-and the costs resolved since, so a resolve whose key is the trajectory's
-i-th takes node i's answer without resolving, the node being added first
-when the chain ends at i. Any other resolve leaves the chain for good and
-goes on from a clone of the last node taken. No driver says when it
-draws: before its first draw a run resolves only trajectory points, each
-the rounding of the last projection (a memo hit means it cycles and will
-resolve nothing until it draws), and that next key is then in its memo,
-so no later miss matches it. A node is added only once its resolve and
-answer have succeeded, so no answer depends on the order of runs, and a
-run that raises raises again on the next run. A chain hit still enters
-the memo and counts in `lp_solves`, which counts resolves and chain hits
-alike. The chain holds at most CHAIN_CAP resolves: the runs of the three
-benchmark workloads and of criterion 10's grid make 0 to 5 resolves
-before their first draw, and naive, which never draws, stops at the cap.
-Answers the chain hands out are shared between runs, so their arrays are
-read-only.
+The runs handed one view share their resolves before their first random
+draw through its prefix chain, `CompiledInstance.chain`, which this module
+alone reads and extends, and which lives as long as the caller keeps the
+view. Each run starts on the instance's deterministic trajectory: node 0
+is the relaxation, and node i+1 is the projection of the rounding of node
+i's answer. A ChainNode holds the answer, a clone of the solver after it,
+and the key its successor must have: the rounding's bytes (the
+relaxation's own key is a marker). A resolve's answer and the state it
+leaves depend only on the base solver and the costs resolved since, so a
+resolve whose key is the trajectory's i-th takes node i's answer without
+resolving, the node being added first when the chain ends at i. Any other
+resolve leaves the chain for good and goes on from a clone of the last
+node taken. No driver says when it draws: before its first draw a run
+resolves only trajectory points, each the rounding of the last projection
+(a memo hit means it cycles and will resolve nothing until it draws), and
+that next key is then in its memo, so no later miss matches it. A node is
+added only once its resolve and answer have succeeded, so no answer
+depends on the order of runs, and a run that raises raises again on the
+next run. A chain hit still enters the memo and counts in `lp_solves`,
+which counts resolves and chain hits alike. The chain holds at most
+CHAIN_CAP resolves: the runs of the three benchmark workloads and of
+criterion 10's grid make 0 to 5 resolves before their first draw, and
+naive, which never draws, stops at the cap. Answers the chain hands out
+are shared between runs, so their arrays are read-only.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import InstanceInfeasible, NoFixpoint, NonBinaryVector
 from .lp import CompiledInstance, LpProblem, LpStatus, SimplexSolver
-from .model import MixedBinaryInstance, Sense, dense_objective
+from .model import Sense, dense_objective
 # perfbench/tracing.py wraps these two names in this module's namespace
 from .model import dense_rows, normalize  # noqa: F401
 
@@ -116,19 +116,18 @@ def _projection_problem(view: CompiledInstance) -> LpProblem:
 
 
 class ProjectionOracle:
-    """Warm LP engine + memo table for one instance's l1 projections,
-    following the view's prefix chain (see the module docstring)."""
+    """Warm LP engine + memo table for the l1 projections of the view's
+    instance, following its prefix chain (see the module docstring)."""
 
-    def __init__(self, instance: MixedBinaryInstance):
-        self.instance = instance
-        self.view = CompiledInstance.of(instance)
-        self.n, self.d = instance.n, instance.d
+    def __init__(self, view: CompiledInstance):
+        self.view = view
+        self.n, self.d = view.instance.n, view.instance.d
         # the state the next resolve starts from: shared (the base or a
         # chain node's, only ever cloned) while on the trajectory, and the
         # oracle's own clone once off it
         self.solver: SimplexSolver = self.view.solver(_projection_problem)
         if not self.solver.ensure_phase1():
-            raise InstanceInfeasible(f"instance {instance.name!r} has an empty relaxation")
+            raise InstanceInfeasible(f"instance {view.instance.name!r} has an empty relaxation")
         self.cache: dict[bytes, ProjectionEntry] = {}
         self.lp_solves = 0         # resolves and chain hits alike
         self._depth = 0            # chain nodes taken
@@ -167,7 +166,7 @@ class ProjectionOracle:
         return self._resolve(_RELAXATION, self._relax, lambda xy: round_binary(xy[0]).tobytes())
 
     def _relax(self, solver: SimplexSolver) -> tuple[np.ndarray, np.ndarray]:
-        cb, cc = dense_objective(self.instance)
+        cb, cc = dense_objective(self.view.instance)
         sol = solver.resolve(np.concatenate([cb, cc]), maximize=True)
         if sol.status is not LpStatus.OPTIMAL:
             sol = solver.resolve(np.zeros(self.n + self.d), maximize=False)
@@ -203,10 +202,6 @@ class ProjectionOracle:
         rounded.flags.writeable = False
         return ProjectionEntry(x_bar, sol.x[self.n :], distance, rounded, rounded.tobytes(),
                                is_integral(x_bar, rounded))
-
-    def pair_feasible(self, x, y) -> bool:
-        """(x, y) violates no normalized row (CompiledInstance.violated_rows)."""
-        return not self.view.violated_rows(x, y).any()
 
 
 def alt_proj_star(oracle: ProjectionOracle, x_tilde) -> tuple[np.ndarray, ProjectionEntry]:

@@ -23,8 +23,8 @@ they are called, so a wrapper installed on the module sees every call
 (a fractionality stall answered from the run's flip memo makes none).
 
 The drivers make no chain call: the projection oracle alone decides which
-of a run's resolves it shares with the other runs on the instance, those
-before its first draw (see `pumplab.projection`).
+of a run's resolves it shares with the other runs on its view, those
+before its first draw (see `pumplab.projection` and `run`).
 
 Every driver returns a PumpTrace; `iterations` counts projection steps
 (perturbation rounds for the walk driver), and Found outcomes carry a
@@ -41,6 +41,7 @@ import numpy as np
 
 from .certificate import CertificateOracle
 from .errors import NotACertificate, SolverFailure
+from .lp import CompiledInstance
 from .model import MixedBinaryInstance, MixedPoint
 from .perturb import (
     DEFAULT_TT_RANGE,
@@ -119,13 +120,20 @@ def lift(oracle: ProjectionOracle, x: np.ndarray) -> MixedPoint:
     y is empty and nothing is projected: the row test on x alone decides."""
     xf = x.astype(float)
     y = oracle.entry(x).y_bar.copy() if oracle.d else np.zeros(0)
-    if not oracle.pair_feasible(xf, y):
+    if oracle.view.violated_rows(xf, y).any():
         raise SolverFailure("a point without a certificate did not lift")
     return MixedPoint(xf, y)
 
 
-def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, record: bool, *,
-          tt_range=DEFAULT_TT_RANGE, l: int = 0) -> PumpTrace:
+def _oracle(instance: MixedBinaryInstance, view: Optional[CompiledInstance]) -> ProjectionOracle:
+    """A run's projection oracle, on view, which must be instance's, or on a new view when None."""
+    if view is not None and view.instance is not instance:
+        raise ValueError(f"the view was compiled from another instance than {instance.name!r}")
+    return ProjectionOracle(CompiledInstance(instance) if view is None else view)
+
+
+def _pump(algorithm: str, instance: MixedBinaryInstance, view: Optional[CompiledInstance], max_iter: int, rng,
+          record: bool, *, tt_range=DEFAULT_TT_RANGE, l: int = 0) -> PumpTrace:
     """The project -> round -> compare loop behind the pump variants; the
     variant's name in ALGORITHMS is its only policy.
 
@@ -147,7 +155,7 @@ def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, rec
     naive = algorithm == "naive"
     wfp = algorithm == "wfp"
     wfpbase = algorithm == "wfpbase"
-    oracle = ProjectionOracle(instance)
+    oracle = _oracle(instance, view)
     trace = PumpTrace(algorithm, instance.name, None)
     records = trace.records
     x_bar, y_bar = oracle.relaxation()
@@ -168,7 +176,7 @@ def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, rec
         if wfp:
             if record:
                 records.append(TraceRecord(t, "round"))
-            if oracle.pair_feasible(nxt.astype(float), e.y_bar):
+            if not oracle.view.violated_rows(nxt.astype(float), e.y_bar).any():
                 return _found(trace, t, MixedPoint(nxt.astype(float), e.y_bar.copy()), record)
         elif e.integral:
             return _found(trace, t, MixedPoint(e.x_bar.copy(), e.y_bar.copy()), record)
@@ -180,12 +188,12 @@ def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, rec
             if not naive:
                 if wfp:
                     if certs is None:
-                        certs = CertificateOracle(instance)
+                        certs = CertificateOracle(oracle.view)
                     out = perturb_l(nxt, certs.min_certificate(nxt), l, rng)
                 else:
                     tt = _draw_tt(rng, tt_range)
                     if wfpbase:
-                        out = wfpbase_perturb(nxt, e.x_bar, e.y_bar, instance, rng, tt)
+                        out = wfpbase_perturb(nxt, e.x_bar, e.y_bar, oracle.view, rng, tt)
                     else:
                         out = flips.get((new_key, tt))
                         if out is None:
@@ -218,13 +226,14 @@ def _pump(algorithm: str, instance: MixedBinaryInstance, max_iter: int, rng, rec
     return trace
 
 
-def run_naive_fp(instance: MixedBinaryInstance, max_iter: int = 10_000, record: bool = True) -> PumpTrace:
+def run_naive_fp(instance: MixedBinaryInstance, max_iter: int = 10_000, record: bool = True,
+                 view: Optional[CompiledInstance] = None) -> PumpTrace:
     """Project and round until the projection is integral; no escapes.
 
     The first revisited rounded point is classified into trace.cycle as
     ("one", 1) or ("long", gap).
     """
-    return _pump("naive", instance, max_iter, None, record)
+    return _pump("naive", instance, view, max_iter, None, record)
 
 
 def run_original_fp(
@@ -234,10 +243,12 @@ def run_original_fp(
     zero_frac_flips: bool = False,
     tt_range=DEFAULT_TT_RANGE,
     record: bool = True,
+    view: Optional[CompiledInstance] = None,
 ) -> PumpTrace:
     """Naive loop plus fractionality-guided flips whenever the rounded point
     repeats the previous iterate."""
-    return _pump("origzf" if zero_frac_flips else "orig", instance, max_iter, rng, record, tt_range=tt_range)
+    return _pump("origzf" if zero_frac_flips else "orig", instance, view, max_iter, rng, record,
+                 tt_range=tt_range)
 
 
 def run_wfp(
@@ -246,9 +257,10 @@ def run_wfp(
     max_iter: int,
     rng: np.random.Generator,
     record: bool = True,
+    view: Optional[CompiledInstance] = None,
 ) -> PumpTrace:
     """Pump whose stalls are escaped by certificate-support flips."""
-    return _pump("wfp", instance, max_iter, rng, record, l=l)
+    return _pump("wfp", instance, view, max_iter, rng, record, l=l)
 
 
 def run_wfpbase_fp(
@@ -257,10 +269,11 @@ def run_wfpbase_fp(
     rng: np.random.Generator,
     tt_range=DEFAULT_TT_RANGE,
     record: bool = True,
+    view: Optional[CompiledInstance] = None,
 ) -> PumpTrace:
     """Hybrid pump: fractionality flips widened into violated-row supports
     on stalls, randomized restarts when an older rounded point recurs."""
-    return _pump("wfpbase", instance, max_iter, rng, record, tt_range=tt_range)
+    return _pump("wfpbase", instance, view, max_iter, rng, record, tt_range=tt_range)
 
 
 def run_mb_walksat(
@@ -270,6 +283,7 @@ def run_mb_walksat(
     max_iter: int = 10_000,
     rng: Optional[np.random.Generator] = None,
     record: bool = True,
+    view: Optional[CompiledInstance] = None,
 ) -> PumpTrace:
     """Pure certificate walk: while the point has a certificate, flip
     within its support; a point without one is lifted and returned.
@@ -277,8 +291,8 @@ def run_mb_walksat(
     rng; a start that is not an exact 0/1 vector raises NonBinaryVector."""
     if rng is None:
         raise ValueError("rng is required")
-    oracle = ProjectionOracle(instance)  # validates feasibility, lifts the found point
-    certs = CertificateOracle(instance)
+    oracle = _oracle(instance, view)  # validates feasibility, lifts the found point
+    certs = CertificateOracle(oracle.view)
     trace = PumpTrace("mbwalksat", instance.name, None)
     if start is None:
         x = rng.integers(0, 2, size=instance.n).astype(np.int8)
@@ -308,6 +322,7 @@ def run_wfp_compressed(
     max_iter: int,
     rng: np.random.Generator,
     record: bool = True,
+    view: Optional[CompiledInstance] = None,
 ) -> PumpTrace:
     """Collapse each projection sequence to its fixpoint, then perturb on
     its certificate; a fixpoint without one is lifted and returned.
@@ -316,8 +331,8 @@ def run_wfp_compressed(
     within alt_proj_star's cap (cannot happen on single-row subset-sum
     instances).
     """
-    oracle = ProjectionOracle(instance)
-    certs = CertificateOracle(instance)
+    oracle = _oracle(instance, view)
+    certs = CertificateOracle(oracle.view)
     trace = PumpTrace("wfpc", instance.name, None)
     x_bar, _ = oracle.relaxation()
     z = round_binary(x_bar)
@@ -340,26 +355,29 @@ def run_wfp_compressed(
     return trace
 
 
-# name -> call(instance, rng, max_iter, flips, tt_range, record) of its run_* function
+# name -> call(instance, rng, max_iter, flips, tt_range, record, view) of its run_* function
 ALGORITHMS = {
-    "naive": lambda inst, rng, it, l, tt, rec: run_naive_fp(inst, it, rec),
-    "orig": lambda inst, rng, it, l, tt, rec: run_original_fp(inst, it, rng, False, tt, rec),
-    "origzf": lambda inst, rng, it, l, tt, rec: run_original_fp(inst, it, rng, True, tt, rec),
-    "mbwalksat": lambda inst, rng, it, l, tt, rec: run_mb_walksat(inst, l, None, it, rng, rec),
-    "wfp": lambda inst, rng, it, l, tt, rec: run_wfp(inst, l, it, rng, rec),
-    "wfpc": lambda inst, rng, it, l, tt, rec: run_wfp_compressed(inst, l, it, rng, rec),
-    "wfpbase": lambda inst, rng, it, l, tt, rec: run_wfpbase_fp(inst, it, rng, tt, rec),
+    "naive": lambda inst, rng, it, l, tt, rec, view: run_naive_fp(inst, it, rec, view),
+    "orig": lambda inst, rng, it, l, tt, rec, view: run_original_fp(inst, it, rng, False, tt, rec, view),
+    "origzf": lambda inst, rng, it, l, tt, rec, view: run_original_fp(inst, it, rng, True, tt, rec, view),
+    "mbwalksat": lambda inst, rng, it, l, tt, rec, view: run_mb_walksat(inst, l, None, it, rng, rec, view),
+    "wfp": lambda inst, rng, it, l, tt, rec, view: run_wfp(inst, l, it, rng, rec, view),
+    "wfpc": lambda inst, rng, it, l, tt, rec, view: run_wfp_compressed(inst, l, it, rng, rec, view),
+    "wfpbase": lambda inst, rng, it, l, tt, rec, view: run_wfpbase_fp(inst, it, rng, tt, rec, view),
 }
 
 
 def run(alg: str, instance: MixedBinaryInstance, rng: np.random.Generator, *, max_iter: int,
-        flips: int = 2, tt_range=DEFAULT_TT_RANGE, record: bool = True) -> PumpTrace:
-    """Run the variant named alg. flips is l for the certificate variants;
+        flips: int = 2, tt_range=DEFAULT_TT_RANGE, record: bool = True,
+        view: Optional[CompiledInstance] = None) -> PumpTrace:
+    """Run the variant named alg on view, the caller's view of instance,
+    or on a new one when None. flips is l for the certificate variants;
     tt_range is the flip-count range of the fractionality rules. naive
-    draws nothing from rng. A negative max_iter raises ValueError."""
+    draws nothing from rng. A negative max_iter, or a view of another
+    instance, raises ValueError."""
     if max_iter < 0:
         raise ValueError(f"max_iter must be at least 0, got {max_iter}")
-    return ALGORITHMS[alg](instance, rng, max_iter, flips, tt_range, record)
+    return ALGORITHMS[alg](instance, rng, max_iter, flips, tt_range, record, view)
 
 
 @dataclass(frozen=True)

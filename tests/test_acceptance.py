@@ -29,7 +29,7 @@ from pumplab.gen import (
     gen_two_stage,
     zero_frac_stall_instance,
 )
-from pumplab.lp import LpProblem, SimplexSolver
+from pumplab.lp import CompiledInstance, LpProblem, SimplexSolver
 from pumplab.model import Sense, check_feasible
 from pumplab.perturb import make_rng
 from pumplab.projection import ProjectionOracle
@@ -98,7 +98,7 @@ def test_criterion_06_projection_round_map_is_idempotent():
         k = int(rng.integers(1, 3))
         per = int(rng.integers(2, 11 if k == 1 else 6))
         inst = gen_subset_sum(k, per, rng).instance
-        oracle = ProjectionOracle(inst)
+        oracle = ProjectionOracle(CompiledInstance(inst))
         for _ in range(100):
             xt = rng.integers(0, 2, inst.n).astype(np.int8)
             z = oracle.entry(xt).rounded
@@ -118,7 +118,7 @@ def test_criterion_07_minimal_certificates_on_block_instances():
         spec = BlockSpec(n=int(rng.integers(2, 5)), d=int(rng.integers(0, 3)),
                          rows=rows, s=2)
         inst = gen_decomposable(k, spec, rng).instance
-        oracle = CertificateOracle(inst)
+        oracle = CertificateOracle(CompiledInstance(inst))
         # directed candidates maximize one row's lhs each; random ones follow
         candidates = []
         for row in inst.rows:
@@ -181,7 +181,7 @@ def test_criterion_09_projections_are_near_integral_vertices():
         inst = res.instance
         row = inst.rows[0]
         a = np.array([row.bin_coeffs[j] for j in range(n)])
-        oracle = ProjectionOracle(inst)
+        oracle = ProjectionOracle(CompiledInstance(inst))
         for _ in range(2):
             xt = rng.integers(0, 2, n)
             c = 1.0 - 2.0 * xt

@@ -7,6 +7,7 @@ from oracles import lift_exists, verify_minimal
 from pumplab.certificate import CertificateOracle, ProjectedCertificate, cert_supp_bound
 from pumplab.errors import DimensionMismatch, NonBinaryVector, NotACertificate
 from pumplab.gen import BlockSpec, fractional_stall_instance, gen_decomposable, gen_subset_sum
+from pumplab.lp import CompiledInstance
 from pumplab.model import Block, LinearRow, MixedBinaryInstance, Sense, dense_rows, normalize
 from pumplab.perturb import make_rng
 
@@ -14,7 +15,7 @@ from pumplab.perturb import make_rng
 def test_worked_certificate_single_eq_instance():
     # at (1,1) only the <= half of 3x1 + x2 = 3 is violated, by exactly 1
     inst = fractional_stall_instance()
-    cert = CertificateOracle(inst).min_certificate([1.0, 1.0])
+    cert = CertificateOracle(CompiledInstance(inst)).min_certificate([1.0, 1.0])
     assert cert.support_rows == (0,)
     assert cert.original_support == ((0, 1),)
     assert cert.lam == {0: pytest.approx(1.0)}
@@ -28,7 +29,7 @@ def test_worked_certificate_single_eq_instance():
 def test_point_inside_projection_is_refused():
     inst = fractional_stall_instance()
     with pytest.raises(NotACertificate):
-        CertificateOracle(inst).min_certificate([1.0, 0.0])
+        CertificateOracle(CompiledInstance(inst)).min_certificate([1.0, 0.0])
 
 
 def test_no_cancelling_combination_is_refused():
@@ -36,7 +37,7 @@ def test_no_cancelling_combination_is_refused():
     rows = (LinearRow({0: 1.0}, {0: 1.0}, Sense.LE, 0.0),)
     inst = MixedBinaryInstance(name="nocert", n=1, d=1, rows=rows)
     with pytest.raises(NotACertificate):
-        CertificateOracle(inst).min_certificate([1.0])
+        CertificateOracle(CompiledInstance(inst)).min_certificate([1.0])
 
 
 def test_pure_binary_certificate_is_most_violated_row():
@@ -50,7 +51,7 @@ def test_pure_binary_certificate_is_most_violated_row():
         v = A @ x - b
         if v.max() <= 1e-7:
             continue
-        cert = CertificateOracle(inst).min_certificate(x)
+        cert = CertificateOracle(CompiledInstance(inst)).min_certificate(x)
         assert len(cert.support_rows) == 1
         assert cert.violation == pytest.approx(v.max(), abs=1e-9)
         found += 1
@@ -67,7 +68,7 @@ def test_certificate_identity_and_positivity():
         spec = BlockSpec(n=int(rng.integers(2, 5)), d=int(rng.integers(0, 3)),
                          rows=int(rng.integers(1, 4)), s=2)
         inst = gen_decomposable(k, spec, rng).instance
-        oracle = CertificateOracle(inst)
+        oracle = CertificateOracle(CompiledInstance(inst))
         x = rng.integers(0, 2, inst.n).astype(float)
         try:
             cert = oracle.min_certificate(x)
@@ -103,7 +104,7 @@ def test_support_stays_inside_one_block():
         norm = normalize(inst)
         x = rng.integers(0, 2, inst.n).astype(float)
         try:
-            cert = CertificateOracle(inst).min_certificate(x)
+            cert = CertificateOracle(CompiledInstance(inst)).min_certificate(x)
         except NotACertificate:
             continue
         checked += 1
@@ -177,7 +178,7 @@ def test_certificate_existence_matches_elimination_oracle():
         x = rng.integers(0, 2, n).astype(float)
         liftable = lift_exists(A, B, b, x)
         try:
-            cert = CertificateOracle(inst).min_certificate(x)
+            cert = CertificateOracle(CompiledInstance(inst)).min_certificate(x)
             assert not liftable
             assert verify_minimal(inst, cert)
             with_cert += 1
@@ -189,7 +190,7 @@ def test_certificate_existence_matches_elimination_oracle():
 
 def test_oracle_caches_repeat_points():
     inst = fractional_stall_instance()
-    oracle = CertificateOracle(inst)
+    oracle = CertificateOracle(CompiledInstance(inst))
     c1 = oracle.min_certificate([1.0, 1.0])
     c2 = oracle.min_certificate([1.0, 1.0])
     assert c1 is c2
@@ -258,7 +259,8 @@ def _answers(oracle, points) -> list:
 
 
 def _sequence_digest(inst, points) -> str:
-    return hashlib.sha256("\n".join(_answers(CertificateOracle(inst), points)).encode()).hexdigest()
+    oracle = CertificateOracle(CompiledInstance(inst))
+    return hashlib.sha256("\n".join(_answers(oracle, points)).encode()).hexdigest()
 
 
 # _sequence_digest per case, as the warm lambda-LP answers them
@@ -286,14 +288,15 @@ def test_warm_certificate_sequences_are_pinned(name):
 
 def _bad_point_oracle(d):
     inst = gen_decomposable(2, BlockSpec(n=3, d=d, rows=2, s=2), make_rng(30)).instance
-    return inst, CertificateOracle(inst)
+    return inst, CertificateOracle(CompiledInstance(inst))
 
 
 def _answers_as_fresh(inst, oracle) -> bool:
     # the bad points left the oracle's memo and warm state as they were
     x = np.ones(inst.n)
     points = [x, np.zeros(inst.n), x]
-    return not oracle.cache and _answers(oracle, points) == _answers(CertificateOracle(inst), points)
+    fresh = CertificateOracle(CompiledInstance(inst))
+    return not oracle.cache and _answers(oracle, points) == _answers(fresh, points)
 
 
 @pytest.mark.parametrize("d", [0, 1])

@@ -1,7 +1,6 @@
-"""The prefix chain: runs on one instance share the resolves before their
-first random draw, and every answer is the one a fresh view gives."""
-
-from dataclasses import replace
+"""The prefix chain: runs handed one view of an instance share the
+resolves before their first random draw, and every answer is the one a
+fresh view gives."""
 
 import numpy as np
 import pytest
@@ -30,15 +29,15 @@ def resolves(monkeypatch):
     return calls
 
 
-def _lines(alg, instance, rng):
-    return pump.run(alg, instance, rng, max_iter=200).to_lines()
+def _lines(alg, view, rng):
+    return pump.run(alg, view.instance, rng, max_iter=200, view=view).to_lines()
 
 
-def _walk(inst, steps, off=None):
+def _walk(view, steps, off=None):
     # a new oracle's relaxation and its first `steps` projections along the
     # instance's trajectory, then the projection of `off`, when given; the
     # x_bar bytes of each projection
-    oracle = ProjectionOracle(inst)
+    oracle = ProjectionOracle(view)
     x = round_binary(oracle.relaxation()[0])
     out = []
     for _ in range(steps):
@@ -57,12 +56,12 @@ def _long_trajectory():
 
 def test_second_run_on_a_view_resolves_less_with_the_same_trace(resolves):
     inst = two_stage_suite(ks=(5,), ps=(10,), per_config=1)[0]
-    view = CompiledInstance.of(inst)
-    _lines("wfpbase", inst, make_rng(1))
+    view = CompiledInstance(inst)
+    _lines("wfpbase", view, make_rng(1))
     made = len(resolves)
-    second = _lines("wfpbase", inst, make_rng(2))
+    second = _lines("wfpbase", view, make_rng(2))
     on_view = len(resolves) - made
-    fresh = _lines("wfpbase", replace(inst), make_rng(2))
+    fresh = _lines("wfpbase", CompiledInstance(inst), make_rng(2))
     alone = len(resolves) - made - on_view
     assert second == fresh
     # the chain holds the resolves before the first draw, the relaxation
@@ -87,9 +86,9 @@ def test_rows_do_not_depend_on_the_order_of_runs():
 def test_every_variant_traces_as_on_a_fresh_view(rep):
     inst = two_stage_suite(ks=(5,), ps=(10,), per_config=2)[rep]
     algs = list(pump.ALGORITHMS)
-    fresh = {alg: _lines(alg, replace(inst), make_rng(5, i)) for i, alg in enumerate(algs)}
+    fresh = {alg: _lines(alg, CompiledInstance(inst), make_rng(5, i)) for i, alg in enumerate(algs)}
     for order in (algs, algs[::-1], algs[1::2] + algs[::2]):
-        shared = replace(inst)
+        shared = CompiledInstance(inst)
         for alg in order:
             assert _lines(alg, shared, make_rng(5, algs.index(alg))) == fresh[alg], alg
 
@@ -101,25 +100,26 @@ def test_known_error_repeats_along_the_chain():
     suite = two_stage_suite()
     i = next(i for i, inst in enumerate(suite) if inst.name == "two-stage-k45-p10-r4")
 
-    def raised(instance, a, alg):
+    def raised(view, a, alg):
         with pytest.raises(PumpLabError) as err:
-            pump.run(alg, instance, make_rng(1, i, a), max_iter=400, record=False)
+            pump.run(alg, view.instance, make_rng(1, i, a), max_iter=400, record=False, view=view)
         return type(err.value).__name__, str(err.value)
 
     algs = ("orig", "wfpbase")
-    on_one_view = [raised(suite[i], a, alg) for a, alg in enumerate(algs)]
-    on_fresh_views = [raised(replace(suite[i]), a, alg) for a, alg in enumerate(algs)]
+    view = CompiledInstance(suite[i])
+    on_one_view = [raised(view, a, alg) for a, alg in enumerate(algs)]
+    on_fresh_views = [raised(CompiledInstance(suite[i]), a, alg) for a, alg in enumerate(algs)]
     assert on_one_view == on_fresh_views
     assert on_one_view[0][0] == "NonBinaryVector"
 
 
 def test_shared_answers_are_read_only():
-    inst = gen_decomposable(2, BlockSpec(n=3, d=1, rows=2, s=2), make_rng(8)).instance
-    a = ProjectionOracle(inst)
+    view = CompiledInstance(gen_decomposable(2, BlockSpec(n=3, d=1, rows=2, s=2), make_rng(8)).instance)
+    a = ProjectionOracle(view)
     relaxed = a.relaxation()
     point = round_binary(relaxed[0])     # the trajectory's next point
     e = a.entry(point)
-    b = ProjectionOracle(inst)
+    b = ProjectionOracle(view)
     assert all(x is y for x, y in zip(b.relaxation(), relaxed)) and b.entry(point) is e
     # a hit enters the memo and counts as a solve, as a resolve does
     assert b.lp_solves == 2 and list(b.cache.values()) == [e]
@@ -133,8 +133,9 @@ def test_a_point_found_by_the_relaxation_is_the_runs_own():
     # no objective: the relaxation's vertex (0, 0) is integral
     rows = (LinearRow({0: 1.0, 1: 1.0}, {}, Sense.LE, 1.0),)
     inst = MixedBinaryInstance(name="corner", n=2, d=0, rows=rows)
-    relaxed = ProjectionOracle(inst).relaxation()
-    trace = pump.run("orig", inst, make_rng(0), max_iter=10)
+    view = CompiledInstance(inst)
+    relaxed = ProjectionOracle(view).relaxation()
+    trace = pump.run("orig", inst, make_rng(0), max_iter=10, view=view)
     assert trace.found and trace.iterations == 0
     assert trace.point.x.flags.writeable
     assert not np.shares_memory(trace.point.x, relaxed[0])
@@ -155,18 +156,17 @@ def test_serial_and_forked_sweeps_agree():
 def test_chain_is_capped(resolves, monkeypatch):
     # a trajectory of four resolves on a chain capped at two
     monkeypatch.setattr(projection, "CHAIN_CAP", 2)
-    inst = _long_trajectory()
-    first = _walk(inst, 3)
+    view = CompiledInstance(_long_trajectory())
+    first = _walk(view, 3)
     assert len(resolves) == 4 and len(set(first)) == 3
-    assert len(CompiledInstance.of(inst).chain) == 2
+    assert len(view.chain) == 2
     made = len(resolves)
-    assert _walk(inst, 3) == first
+    assert _walk(view, 3) == first
     assert len(resolves) - made == 4 - 2
 
 
 def test_shared_solver_states_never_change(resolves):
-    inst = _long_trajectory()
-    view = CompiledInstance.of(inst)
+    view = CompiledInstance(_long_trajectory())
 
     def states(solvers):
         return [[getattr(s, name).tobytes() for name in _STATE_ARRAYS] for s in solvers]
@@ -174,24 +174,23 @@ def test_shared_solver_states_never_change(resolves):
     def shared():
         return [view.solver(_projection_problem)] + [node.solver for node in view.chain]
 
-    first = _walk(inst, 1)
+    first = _walk(view, 1)
     before = states(shared())
     # follow, then extend
-    assert _walk(inst, 3)[:1] == first
+    assert _walk(view, 3)[:1] == first
     assert len(view.chain) == 4 and states(shared())[: len(before)] == before
     before = states(shared())
     # follow, then leave off the trajectory: one resolve, on a clone
-    on = round_binary(ProjectionOracle(inst).relaxation()[0])
+    on = round_binary(ProjectionOracle(view).relaxation()[0])
     made = len(resolves)
-    _walk(inst, 1, off=1 - on)
+    _walk(view, 1, off=1 - on)
     assert len(resolves) - made == 1
     assert len(view.chain) == 4 and states(shared()) == before
 
 
 def test_a_point_off_the_trajectory_is_not_chained():
-    inst = gen_subset_sum(2, 6, make_rng(3)).instance
-    view = CompiledInstance.of(inst)
-    oracle = ProjectionOracle(inst)
+    view = CompiledInstance(gen_subset_sum(2, 6, make_rng(3)).instance)
+    oracle = ProjectionOracle(view)
     on = round_binary(oracle.relaxation()[0])
     oracle.entry(1 - on)
     assert len(view.chain) == 1
@@ -203,6 +202,6 @@ def test_a_point_off_the_trajectory_is_not_chained():
 def test_the_walk_leaves_the_chain_at_once():
     # mbwalksat draws its start, and lifts its point through a projection
     inst = gen_decomposable(3, BlockSpec(n=4, d=1, rows=3, s=2), make_rng(4)).instance
-    view = CompiledInstance.of(inst)
-    trace = pump.run("mbwalksat", inst, make_rng(3), max_iter=500)
+    view = CompiledInstance(inst)
+    trace = pump.run("mbwalksat", inst, make_rng(3), max_iter=500, view=view)
     assert trace.found and view.chain == []

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import enum_box_lp, lift_exists
+from pumplab import pump
+from pumplab.bench import BenchConfig, run_benchmark
 from pumplab.certificate import CertificateOracle, _lambda_problem
 from pumplab.errors import InstanceInfeasible, InvalidInstance, NotACertificate
 from pumplab.gen import BlockSpec, fractional_stall_instance, gen_decomposable, gen_subset_sum, zero_frac_stall_instance
@@ -129,10 +133,10 @@ def test_lift_pure_binary_checks_rows_directly():
     # with no continuous columns a point has no certificate exactly when it
     # meets every row, and it lifts with an empty y
     inst = fractional_stall_instance()
-    certs = CertificateOracle(inst)
+    certs = CertificateOracle(CompiledInstance(inst))
     with pytest.raises(NotACertificate):
         certs.min_certificate([1.0, 0.0])
-    pt = lift(ProjectionOracle(inst), np.array([1, 0], dtype=np.int8))
+    pt = lift(ProjectionOracle(CompiledInstance(inst)), np.array([1, 0], dtype=np.int8))
     assert pt.y.size == 0
     np.testing.assert_array_equal(pt.x, [1, 0])
     assert certs.min_certificate([1.0, 1.0]).violation > 0
@@ -146,18 +150,19 @@ def test_lift_solves_for_continuous_part():
     )
     inst = MixedBinaryInstance(name="lift", n=1, d=1, rows=rows)
     with pytest.raises(NotACertificate):
-        CertificateOracle(inst).min_certificate([1.0])
-    pt = lift(ProjectionOracle(inst), np.array([1], dtype=np.int8))
+        CertificateOracle(CompiledInstance(inst)).min_certificate([1.0])
+    pt = lift(ProjectionOracle(CompiledInstance(inst)), np.array([1], dtype=np.int8))
     assert pt.y[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def _pair_feasible(inst, x):
     # the projection oracle refuses an empty relaxation, where no point is feasible
+    view = CompiledInstance(inst)
     try:
-        oracle = ProjectionOracle(inst)
+        ProjectionOracle(view)
     except InstanceInfeasible:
         return False
-    return oracle.pair_feasible(x, np.zeros(inst.d))
+    return not view.violated_rows(x, np.zeros(inst.d)).any()
 
 
 def test_lift_agrees_with_elimination_oracle():
@@ -183,11 +188,11 @@ def test_lift_agrees_with_elimination_oracle():
         xb = rng.integers(0, 2, n).astype(np.int8)
         want = lift_exists(A, B, b, xb.astype(float))
         try:
-            CertificateOracle(inst).min_certificate(xb.astype(float))
+            CertificateOracle(CompiledInstance(inst)).min_certificate(xb.astype(float))
         except NotACertificate:
             assert want
             agree_yes += 1
-            got = lift(ProjectionOracle(inst), xb)
+            got = lift(ProjectionOracle(CompiledInstance(inst)), xb)
             resid = b - A @ xb - B @ got.y
             assert resid.min() > -1e-7
             refused = True
@@ -206,7 +211,7 @@ def test_relaxation_vertex_of_deep_trap_instance():
 
     for t in (2, 4):
         inst = zero_frac_stall_instance(t)
-        x_bar, y_bar = ProjectionOracle(inst).relaxation()
+        x_bar, y_bar = ProjectionOracle(CompiledInstance(inst)).relaxation()
         assert y_bar.size == 0
         assert x_bar[-1] == pytest.approx(1.0, abs=1e-9)
         heavy = np.sort(x_bar[:-1])
@@ -299,14 +304,9 @@ def test_redundant_equality_keeps_its_artificial_basic():
             assert np.abs(A @ sol.x - b)[:2].max() <= 1e-9 and (A @ sol.x - b)[2] <= 1e-9
 
 
-def test_compiled_view_keeps_one_instance(monkeypatch):
-    a, b = fractional_stall_instance(), zero_frac_stall_instance(3)
-    view = CompiledInstance.of(a)
-    assert CompiledInstance.of(a) is view
-    assert not view.A.flags.writeable and not view.b.flags.writeable
-    assert CompiledInstance.of(b) is not view
-    assert CompiledInstance.of(a) is not view
-    # phase 1 runs once per (instance, LP), however many oracles are built
+def test_the_caller_owns_each_view(monkeypatch):
+    # runs that alternate instances on views their caller keeps run phase 1
+    # once per (view, LP), however many oracles and runs share a view
     phase1_runs = []
     optimize = SimplexSolver._optimize
 
@@ -316,20 +316,32 @@ def test_compiled_view_keeps_one_instance(monkeypatch):
         return optimize(solver, cost, phase1)
 
     monkeypatch.setattr(SimplexSolver, "_optimize", counted)
-    inst = gen_decomposable(3, BlockSpec(n=3, d=1, rows=2, s=2), make_rng(5)).instance
-    for _ in range(3):
-        ProjectionOracle(inst).relaxation()
-        CertificateOracle(inst)
-    assert len(phase1_runs) == 2
-    # with no continuous columns the certificate oracle builds no LP at all
-    phase1_runs.clear()
-    inst = gen_subset_sum(2, 3, make_rng(5)).instance
-    for _ in range(3):
-        ProjectionOracle(inst).relaxation()
-        CertificateOracle(inst).min_certificate(np.ones(inst.n))
-    assert len(phase1_runs) == 1
-    view = CompiledInstance.of(inst)
-    assert _lambda_problem not in view._solvers and len(view._solvers) == 1
+    a = gen_decomposable(3, BlockSpec(n=3, d=1, rows=2, s=2), make_rng(5)).instance
+    b = gen_subset_sum(2, 3, make_rng(5)).instance
+    view_a, view_b = CompiledInstance(a), CompiledInstance(b)
+    assert not view_a.A.flags.writeable and not view_a.b.flags.writeable
+    for view in (view_a, view_b, view_a):
+        ProjectionOracle(view).relaxation()
+        for alg in ("wfp", "mbwalksat"):
+            pump.run(alg, view.instance, make_rng(1), max_iter=50, record=False, view=view)
+    # the projection LP of both and the lambda-LP of a: with no continuous
+    # columns the certificate oracle builds no LP at all
+    assert len(phase1_runs) == 3
+    assert _lambda_problem not in view_b._solvers and len(view_b._solvers) == 1
+    with pytest.raises(ValueError, match="another instance"):
+        pump.run("orig", a, make_rng(1), max_iter=5, view=view_b)
+    # the views a sweep builds do not outlive it
+    built = []
+    init = CompiledInstance.__init__
+
+    def kept(view, instance):
+        init(view, instance)
+        built.append(weakref.ref(view))
+
+    monkeypatch.setattr(CompiledInstance, "__init__", kept)
+    run_benchmark(BenchConfig([a, b], algorithms=("orig", "wfp"), seeds=(1, 2), max_iter=50, workers=1))
+    gc.collect()
+    assert len(built) == 2 and all(ref() is None for ref in built)
 
 
 @st.composite

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from pumplab import gen, pump
+from pumplab import bench, gen, pump
 from pumplab.perturb import make_rng
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -68,6 +68,30 @@ def test_tracer_and_recorder_install_and_uninstall(monkeypatch):
     saved = _install(recorder)
     recorder.uninstall()
     assert _restored(saved)
+
+
+def test_a_sweep_reaches_every_run_through_the_wrappers(monkeypatch):
+    # bench hands each run a view; the recorder and the tracer wrap the
+    # run_* functions it reaches, and must see every task
+    workloads = _load(monkeypatch, "workloads")
+    tracing = _load(monkeypatch, "tracing")
+    instances = [gen.fractional_stall_instance(),
+                 gen.gen_decomposable(3, gen.BlockSpec(n=4, d=1, rows=3, s=2), make_rng(3)).instance]
+    cfg = bench.BenchConfig(instances, algorithms=("wfpbase", "wfpc"), seeds=(1, 2), max_iter=200, workers=1)
+    recorder, tracer = workloads.Recorder(), tracing.Tracer()
+    recorder.install()
+    try:
+        tracer.install()
+        try:
+            done = workloads.run_pass([cfg], recorder, tracer.harness)
+        finally:
+            tracer.uninstall()
+    finally:
+        recorder.uninstall()
+    assert [(run.instance.name, run.row.algorithm, run.row.seed) for run in done.runs] == [
+        (inst.name, alg, seed) for inst in instances for alg in cfg.algorithms for seed in cfg.seeds]
+    assert not any(isinstance(run.result, workloads.Raised) for run in done.runs)
+    assert tracer.layers["pump"].count == len(done.runs) == 8
 
 
 def test_benchmark_selftest_passes():

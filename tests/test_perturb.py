@@ -8,6 +8,7 @@ from oracles import CHI2_Q999
 from pumplab.certificate import CertificateOracle, ProjectedCertificate
 from pumplab.errors import EmptyCertificateSupport
 from pumplab.gen import fractional_stall_instance
+from pumplab.lp import CompiledInstance
 from pumplab.perturb import (
     _draw_tt,
     make_rng,
@@ -85,7 +86,7 @@ def test_perturb_l_single_draw_is_uniform():
 def test_perturb_l_pair_draw_distribution():
     # two independent draws from {0, 1}: {0} w.p. 1/4, {1} w.p. 1/4, both 1/2
     inst = fractional_stall_instance()
-    cert = CertificateOracle(inst).min_certificate([1.0, 1.0])
+    cert = CertificateOracle(CompiledInstance(inst)).min_certificate([1.0, 1.0])
     x = np.array([1, 1], dtype=np.int8)
     rng = make_rng(2)
     trials = 10_000
@@ -185,14 +186,14 @@ def test_original_never_flips_integral_coordinates():
 
 def test_hybrid_matches_original_when_tt_small():
     # |F| = 2, so TT <= 2 takes the original rule's flips and no draw
-    inst = fractional_stall_instance()
+    view = CompiledInstance(fractional_stall_instance())
     x = np.array([0, 0], dtype=np.int8)
     x_bar = np.array([0.9, 0.4])
     for tt in range(3):
         rng = make_rng(tt)
         state = rng.bit_generator.state
         a = original_perturb(x, x_bar, tt)
-        b = wfpbase_perturb(x, x_bar, np.zeros(0), inst, rng, tt)
+        b = wfpbase_perturb(x, x_bar, np.zeros(0), view, rng, tt)
         assert (a.flipped, b.kind) == (b.flipped, "wfpbase")
         np.testing.assert_array_equal(a.x_new, b.x_new)
         assert rng.bit_generator.state == state
@@ -201,12 +202,12 @@ def test_hybrid_matches_original_when_tt_small():
 def test_hybrid_draws_from_violated_row_support():
     # at (1,1) only x1 is fractional; TT = 2 forces one extra draw from the
     # support {0, 1} of the violated row
-    inst = fractional_stall_instance()
+    view = CompiledInstance(fractional_stall_instance())
     x = np.array([1, 1], dtype=np.int8)
     x_bar = np.array([2 / 3, 1.0])
     seen = set()
     for seed in range(40):
-        out = wfpbase_perturb(x, x_bar, np.zeros(0), inst, make_rng(seed), 2)
+        out = wfpbase_perturb(x, x_bar, np.zeros(0), view, make_rng(seed), 2)
         assert out.kind == "wfpbase"
         seen.add(out.flipped)
         assert out.flipped in {(0,), (0, 1)}
@@ -215,7 +216,7 @@ def test_hybrid_draws_from_violated_row_support():
 
     # TT = 3 wants two extras but S only has one new index: deterministic
     for seed in range(5):
-        out = wfpbase_perturb(x, x_bar, np.zeros(0), inst, make_rng(seed), 3)
+        out = wfpbase_perturb(x, x_bar, np.zeros(0), view, make_rng(seed), 3)
         assert out.flipped == (0, 1)
 
 
@@ -254,12 +255,12 @@ def test_restart_flip_rate_at_half_fractionality():
 def test_rules_are_deterministic_given_seed():
     x = np.array([0, 1, 0, 1, 0], dtype=np.int8)
     x_bar = np.array([0.2, 0.8, 0.0, 1.0, 0.5])
-    inst = fractional_stall_instance()
+    view = CompiledInstance(fractional_stall_instance())
     cert = fake_cert([0, 1])
     for fn in (
         lambda r: original_perturb(x, x_bar, 3),
         lambda r: original_perturb_zero_frac(x, x_bar, 3),
-        lambda r: wfpbase_perturb(x[:2], x_bar[:2], np.zeros(0), inst, r, 3),
+        lambda r: wfpbase_perturb(x[:2], x_bar[:2], np.zeros(0), view, r, 3),
         lambda r: restart_perturb(x, x_bar, r),
         lambda r: perturb_l(x[:2], cert, 2, r),
     ):

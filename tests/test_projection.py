@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from pumplab.gen import (
     gen_subset_sum,
     zero_frac_stall_instance,
 )
-from pumplab.lp import _STATE_ARRAYS
+from pumplab.lp import _STATE_ARRAYS, CompiledInstance
 from pumplab.model import LinearRow, MixedBinaryInstance, Sense
 from pumplab.perturb import make_rng
 from pumplab.projection import ProjectionOracle, alt_proj_star, as_binary, round_binary
@@ -57,7 +55,7 @@ def test_entry_rejects_a_point_that_is_not_binary(point):
     # [2, 1] used to project with distance 0.0, [0.7, 1.0] as (0, 1), and
     # a NaN raised numpy's ValueError; an int8 point is checked on a miss,
     # also once the memo holds other points
-    oracle = ProjectionOracle(fractional_stall_instance())
+    oracle = ProjectionOracle(CompiledInstance(fractional_stall_instance()))
     for warm in ([1, 1], [0, 1]):
         oracle.entry(warm)
     solves = oracle.lp_solves
@@ -69,7 +67,7 @@ def test_entry_rejects_a_point_that_is_not_binary(point):
 
 def test_l1_proj_worked_values():
     inst = fractional_stall_instance()
-    oracle = ProjectionOracle(inst)
+    oracle = ProjectionOracle(CompiledInstance(inst))
     e = oracle.entry([1, 1])
     assert e.distance == pytest.approx(1 / 3, abs=1e-9)
     np.testing.assert_allclose(e.x_bar, [2 / 3, 1.0], atol=1e-9)
@@ -81,7 +79,7 @@ def test_l1_proj_worked_values():
 
 def test_projection_memo_skips_repeat_solves():
     inst = fractional_stall_instance()
-    oracle = ProjectionOracle(inst)
+    oracle = ProjectionOracle(CompiledInstance(inst))
     oracle.entry([1, 1])
     solves = oracle.lp_solves
     oracle.entry([1, 1])
@@ -94,14 +92,14 @@ def test_alt_proj_fixpoint_of_deep_trap():
     # coordinate to 3/5, which rounds straight back up
     inst = zero_frac_stall_instance(3)
     ones = np.ones(5, dtype=np.int8)
-    oracle = ProjectionOracle(inst)
+    oracle = ProjectionOracle(CompiledInstance(inst))
     np.testing.assert_array_equal(oracle.entry(ones).rounded, ones)
     assert is_stalling(oracle, ones)
 
 
 def test_is_stalling_cases():
     inst = fractional_stall_instance()
-    oracle = ProjectionOracle(inst)
+    oracle = ProjectionOracle(CompiledInstance(inst))
     assert not is_stalling(oracle, [1, 0])   # feasible, not a stall
     assert is_stalling(oracle, [1, 1])       # fixpoint at distance 1/3
     assert not is_stalling(oracle, [0, 0])   # moves to another point
@@ -112,7 +110,7 @@ def test_alt_proj_star_lands_on_fixpoint():
     for trial in range(25):
         inst = gen_subset_sum(1, int(rng.integers(2, 7)), rng).instance
         start = rng.integers(0, 2, inst.n).astype(np.int8)
-        oracle = ProjectionOracle(inst)
+        oracle = ProjectionOracle(CompiledInstance(inst))
         z, e = alt_proj_star(oracle, start)
         assert e is oracle.entry(z)
         np.testing.assert_array_equal(oracle.entry(z).rounded, z)
@@ -122,7 +120,7 @@ def test_alt_proj_distance_never_increases():
     rng = make_rng(11)
     for trial in range(25):
         inst = gen_subset_sum(1, int(rng.integers(2, 7)), rng).instance
-        oracle = ProjectionOracle(inst)
+        oracle = ProjectionOracle(CompiledInstance(inst))
         z = rng.integers(0, 2, inst.n).astype(np.int8)
         prev = np.inf
         for _ in range(2 * inst.n + 10):
@@ -144,7 +142,7 @@ def test_projection_distance_matches_enumeration():
         inst = res.instance
         row = inst.rows[0]
         a = np.array([row.bin_coeffs.get(j, 0.0) for j in range(n)])
-        oracle = ProjectionOracle(inst)
+        oracle = ProjectionOracle(CompiledInstance(inst))
         for _ in range(4):
             xt = rng.integers(0, 2, n)
             want = subset_sum_l1_value(a, row.rhs, xt)
@@ -155,7 +153,7 @@ def test_projection_of_feasible_point_is_itself():
     rng = make_rng(13)
     for trial in range(10):
         res = gen_subset_sum(2, int(rng.integers(2, 5)), rng)
-        oracle = ProjectionOracle(res.instance)
+        oracle = ProjectionOracle(CompiledInstance(res.instance))
         e = oracle.entry(res.witness.x.astype(np.int8))
         assert e.distance == pytest.approx(0.0, abs=1e-9)
         assert e.integral
@@ -169,14 +167,14 @@ def test_empty_relaxation_raises():
     )
     inst = MixedBinaryInstance(name="empty", n=1, d=0, rows=rows)
     with pytest.raises(InstanceInfeasible):
-        ProjectionOracle(inst)
+        ProjectionOracle(CompiledInstance(inst))
 
 
 def test_distance_is_l1_between_binary_and_projection():
     # the reported distance equals norm1(x~ - x_bar) whenever d = 0
     rng = make_rng(14)
     res = gen_subset_sum(2, 4, rng)
-    oracle = ProjectionOracle(res.instance)
+    oracle = ProjectionOracle(CompiledInstance(res.instance))
     for _ in range(12):
         xt = rng.integers(0, 2, res.instance.n)
         e = oracle.entry(xt)
@@ -197,7 +195,8 @@ def _entries(oracle, points):
 
 def test_oracles_share_no_memo_or_solver_state():
     inst = gen_subset_sum(3, 4, make_rng(15)).instance
-    a, b = ProjectionOracle(inst), ProjectionOracle(inst)
+    view = CompiledInstance(inst)
+    a, b = ProjectionOracle(view), ProjectionOracle(view)
     assert a.cache is not b.cache
     # neither point is the trajectory's first key, the relaxation's: off
     # the chain, each oracle resolves a clone of its own
@@ -212,10 +211,11 @@ def test_alternating_instances_give_fresh_oracle_entries():
     rng = make_rng(16)
     insts = [gen_subset_sum(3, 4, rng).instance, gen_decomposable_mixed(rng)]
     points = [[rng.integers(0, 2, inst.n) for _ in range(8)] for inst in insts]
-    # a copy is another object, so its oracle starts from a newly compiled view
-    want = [_entries(ProjectionOracle(replace(inst)), pts) for inst, pts in zip(insts, points)]
+    want = [_entries(ProjectionOracle(CompiledInstance(inst)), pts) for inst, pts in zip(insts, points)]
+    # the caller keeps one view per instance, so alternating keeps both
+    views = [CompiledInstance(inst) for inst in insts]
     for i in (0, 1, 0, 0, 1):
-        assert _entries(ProjectionOracle(insts[i]), points[i]) == want[i]
+        assert _entries(ProjectionOracle(views[i]), points[i]) == want[i]
 
 
 def test_infeasible_instance_raises_on_every_construction():
@@ -226,4 +226,4 @@ def test_infeasible_instance_raises_on_every_construction():
     inst = MixedBinaryInstance(name="empty2", n=2, d=0, rows=rows)
     for _ in range(3):
         with pytest.raises(InstanceInfeasible):
-            ProjectionOracle(inst)
+            ProjectionOracle(CompiledInstance(inst))

@@ -12,7 +12,7 @@ from pumplab.gen import (
     gen_subset_sum,
     zero_frac_stall_instance,
 )
-from pumplab.lp import SimplexSolver
+from pumplab.lp import CompiledInstance, SimplexSolver
 from pumplab.model import (
     LinearRow,
     MixedBinaryInstance,
@@ -280,7 +280,7 @@ def test_zero_row_instances_are_found_by_every_variant(d):
     # no rows: no combination can certify anything, and every point lifts
     inst = MixedBinaryInstance(name="norows", n=2, d=d, rows=())
     with pytest.raises(NotACertificate):
-        CertificateOracle(inst).min_certificate([1.0, 0.0])
+        CertificateOracle(CompiledInstance(inst)).min_certificate([1.0, 0.0])
     for alg in pump.ALGORITHMS:
         trace = pump.run(alg, inst, make_rng(0), max_iter=50, record=False)
         assert trace.found, alg
