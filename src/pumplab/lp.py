@@ -47,14 +47,29 @@ Pivot update: when j enters at row r and k leaves, k's unit column e_r
 is written into j's slot before the divide and the rank-1 update, which
 then give it the values the full tableau would hold in k's column (when k
 is fixed at zero its slot is given up instead). Every stored entry thus
-gets the same float operations as on the full tableau, and with the
-refresh above the answers are bit for bit those of the full tableau. The
-rank-1 update touches only the rows where the pivot column is nonzero
-when fewer than a quarter of the rows are, and the whole matrix
-otherwise, where gathering and scattering most rows costs more than
-updating all of them. Each side carries one
-workload: in a seed-0 benchmark pass, two-stage makes 14,111 dense and
-145 sparse updates, and decomp-walk 153 dense and 4,535 sparse.
+gets the same float operations as on the full tableau. The rank-1 update
+touches only the rows where the pivot column is nonzero when fewer than a
+quarter of the rows are, and the whole matrix otherwise, where gathering
+and scattering most rows costs more than updating all of them. Each side
+carries one workload: in a seed-0 benchmark pass, two-stage makes 14,111
+dense and 145 sparse updates, and decomp-walk 153 dense and 4,535 sparse.
+
+The dense update subtracts np.einsum("i,j->ij", col, T[r]), which makes
+the products in about half the time of the broadcast col[:, None] * T[r]
+at two-stage's sizes (a few hundred rows and columns). It is exact
+because T never holds -0.0: __init__ adds 0.0 to T (an LpProblem's rows,
+a normalized >= row among them, may carry -0.0), and the pivot adds 0.0
+to row r after the divide (+0.0 over a negative pivot is -0.0). Then:
+einsum writes into a zeroed output, so a nonzero product has the bits of
+the broadcast product and a zero product is +0.0 whatever its sign
+(tests/test_lp.py pins this of numpy); x - (+0.0) and x - (-0.0) differ
+only when x is -0.0, so under the invariant the update is the broadcast
+update bit for bit; neither branch's subtraction makes a -0.0, as x - y
+is -0.0 only when x is; and the invariant changes only the signs of
+zeros in T, which no comparison, argmax or divide by a nonzero pivot
+reads, so every pivot choice and every nonzero value is what the
+broadcast update gives. No BLAS rank-1 update or fused multiply-add is
+used: one rounding where the broadcast update makes two changes bits.
 
 Pricing state: the solver keeps, beside vstat, what pricing and the
 ratio test read, so no round re-derives it. `price_up` is -1 where a
@@ -192,7 +207,9 @@ class SimplexSolver:
         self.nonbasic = np.flatnonzero((self.vstat != BASIC) & ((lower != 0.0) | (upper != 0.0)))
         self.slot = np.full(N, -1, dtype=np.int64)
         self.slot[self.nonbasic] = np.arange(self.nonbasic.size)
-        self.T = np.ascontiguousarray(wide[:, self.nonbasic])
+        # + 0.0 turns every -0.0 (normalized >= rows carry them) into
+        # +0.0: T never holds -0.0 (see the module docstring)
+        self.T = np.ascontiguousarray(wide[:, self.nonbasic]) + 0.0
         self._price_state()
 
     def clone(self) -> "SimplexSolver":
@@ -371,12 +388,13 @@ class SimplexSolver:
                 slot[j] = -1
                 col[r] = 0.0
                 T[r] /= piv
+                T[r] += 0.0     # +0.0 over a negative pivot is -0.0
                 rhs_col[r] /= piv
                 rows = col.nonzero()[0]
                 if 4 * rows.size < m:
                     T[rows] -= col[rows, None] * T[r]
                 else:
-                    T -= col[:, None] * T[r]
+                    T -= np.einsum("i,j->ij", col, T[r])
                 rhs_col -= col * rhs_col[r]
                 dj = d[j]
                 d[nonbasic] -= dj * T[r]

@@ -6,6 +6,8 @@ for idempotence, 1e-7 for LP objective agreement, delta + 3 sigma for
 the Monte Carlo bound checks.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -203,12 +205,18 @@ def test_criterion_09_projections_are_near_integral_vertices():
               f"{compared} matched the vertex enumerator within 1e-7")
 
 
+# sha256 of the grid's timing-stripped CSV below: a speed change keeps it,
+# and a change of answers re-pins it as a declared change
+CRITERION_10_CSV_SHA256 = "08fdf6b6ab0755f00f973ee84d59922ab9639af66ff40606917025165c5d1dc0"
+
+
 def test_criterion_10_hybrid_rule_beats_original_on_two_stage_grid():
     instances = two_stage_suite()
     assert len(instances) == 50
     cfg = BenchConfig(instances, algorithms=("orig", "wfpbase"),
                       seeds=tuple(range(1, 11)), max_iter=400, workers=1)
     rows = run_benchmark(cfg).rows
+    assert hashlib.sha256(write_csv(rows, include_timing=False).encode()).hexdigest() == CRITERION_10_CSV_SHA256
     seeds = sorted({r.seed for r in rows})
     wins = 0
     for seed in seeds:

@@ -588,3 +588,81 @@ ENGINE_DIGEST = "c1622cdf746706cd6a449d7ec8e34a88fc6a7987b031a974e90118af4dcff70
 
 def test_engine_answers_are_pinned():
     assert _engine_digest() == ENGINE_DIGEST
+
+
+def _planted(rng, size):
+    # finite doubles of many magnitudes with planted +0.0, -0.0, subnormal,
+    # tiny (their products underflow) and huge (their products overflow) entries
+    v = rng.normal(size=size) * 10.0 ** rng.integers(-30, 31, size)
+    sign = rng.choice([-1.0, 1.0], size)
+    kind = rng.integers(0, 9, size)
+    v[kind == 0] = 0.0
+    v[kind == 1] = -0.0
+    v[kind == 2] = (sign * rng.integers(1, 2**40, size) * 5e-324)[kind == 2]
+    v[kind == 3] = (sign * rng.uniform(1.0, 9.0, size) * 1e-160)[kind == 3]
+    v[kind == 4] = (sign * rng.uniform(1.0, 1.7, size) * 1e300)[kind == 4]
+    return v
+
+
+def test_einsum_outer_product_is_the_broadcast_product_with_unsigned_zeros():
+    # the dense pivot update's premise (see lp.py's module docstring): where
+    # the product is nonzero, einsum's outer product has the broadcast
+    # product's bytes, and where it is zero, it is +0.0
+    rng = make_rng(8)
+    met = {"-0.0": False, "subnormal": False, "inf": False}
+    for m, n in [(1, 1), (2, 3), (7, 5), (16, 33), (63, 129), (225, 460)]:
+        for _ in range(3):
+            a, b = _planted(rng, m), _planted(rng, n)
+            with np.errstate(over="ignore", under="ignore"):
+                broadcast = a[:, None] * b
+                outer = np.einsum("i,j->ij", a, b)
+            assert outer.shape == broadcast.shape and outer.dtype == np.float64
+            zero = broadcast == 0.0
+            np.testing.assert_array_equal(outer[~zero].view(np.uint64), broadcast[~zero].view(np.uint64))
+            assert np.all(outer[zero] == 0.0) and not np.signbit(outer[zero]).any()
+            met["-0.0"] |= bool(np.signbit(broadcast[zero]).any())
+            met["subnormal"] |= bool(np.any(~zero & (np.abs(broadcast) < np.finfo(float).tiny)))
+            met["inf"] |= bool(np.isinf(broadcast).any())
+    assert all(met.values()), met
+
+
+def _negative_zeros(solver):
+    return int(np.count_nonzero(np.signbit(solver.T) & (solver.T == 0.0)))
+
+
+def test_the_tableau_never_holds_negative_zero():
+    # explicit -0.0 coefficients on >= rows, then seeded LPs whose pivots are
+    # often negative (+0.0 over a negative pivot is -0.0); T is checked after
+    # construction, phase 1, the drop of the artificials, clone and resolves
+    A = np.array([[-0.0, 2.0, -0.0, 1.0], [1.0, -0.0, -1.0, -0.0], [-0.0, -1.0, -0.0, -2.0]])
+    problems = [LpProblem(A, [Sense.GE, Sense.GE, Sense.LE], np.array([1.0, -0.0, -1.0]), upper=np.full(4, 2.0))]
+    rng = make_rng(57)
+    for case in range(40):
+        m, n = (int(rng.integers(6, 16)), int(rng.integers(10, 30))) if case % 4 == 3 else (
+            int(rng.integers(1, 6)), int(rng.integers(1, 8)))
+        problems.append(_seeded_lp(rng, m, n))
+    for problem in problems:
+        n = problem.coeffs.shape[1]
+        solver = SimplexSolver(problem)
+        assert _negative_zeros(solver) == 0, "construction"
+        drop, seen = solver._drop_artificials, []
+
+        def spy():
+            seen.append(_negative_zeros(solver))
+            drop()
+
+        solver._drop_artificials = spy
+        try:
+            feasible = solver.ensure_phase1()
+        finally:
+            del solver._drop_artificials
+        assert seen == ([0] if feasible else []), "phase 1"
+        assert _negative_zeros(solver) == 0, "phase 1, artificials dropped"
+        if not feasible:
+            continue
+        twin = solver.clone()
+        assert _negative_zeros(twin) == 0, "clone"
+        for s in (solver, twin, twin.clone()):
+            for _ in range(4):
+                s.resolve(rng.integers(-3, 4, n).astype(float), maximize=bool(rng.integers(2)))
+                assert _negative_zeros(s) == 0, "resolve"
