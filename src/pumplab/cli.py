@@ -12,7 +12,6 @@ in .mps) or by a builtin alias: "fractional-stall" and
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Optional
 
@@ -56,6 +55,19 @@ def _at_least(lo: int):
         return value
 
     parse.__name__ = "int"     # argparse names the type in its messages
+    return parse
+
+
+def _float_at_least(lo: float):
+    """An argparse type: a float no smaller than lo, inf included and NaN not."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not value >= lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo:g}, got {text}")
+        return value
+
+    parse.__name__ = "float"
     return parse
 
 
@@ -287,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=_at_least(0), default=400)
     p.add_argument("--flips", "--l", dest="flips", type=_at_least(1), default=2)
     p.add_argument("--tt", type=_parse_tt, default=DEFAULT_TT_RANGE, metavar="LO:HI")
-    p.add_argument("--time-limit", type=_float_between(0.0, math.inf), default=60.0)
+    p.add_argument("--time-limit", type=_float_at_least(0.0), default=60.0,
+                   help="seconds per run, 0 times every run out and inf sets no limit")
     # suite flags; each one left out takes the --family suite's own default
     p.add_argument("--base-seed", type=_at_least(0), help="instance generation seed")
     p.add_argument("--ks", type=_parse_counts, help="comma list of block or scenario counts")

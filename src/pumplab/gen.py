@@ -28,6 +28,7 @@ from .model import (
     MixedPoint,
     Objective,
     Sense,
+    coeff_rows,
 )
 
 
@@ -51,21 +52,24 @@ def gen_subset_sum(
     """
     if k < 1 or n < 1 or coeff_max < 1:
         raise ValueError("k, n and coeff_max must be positive")
-    rows = []
+    coeffs = []
+    rhs = []
     blocks = []
     witness = np.zeros(k * n, dtype=np.int8)
     for i in range(k):
         a = rng.integers(1, coeff_max + 1, size=n)
         xs = rng.integers(0, 2, size=n)
         witness[i * n : (i + 1) * n] = xs
-        cols = range(i * n, (i + 1) * n)
-        rows.append(LinearRow(dict(zip(cols, a.tolist())), {}, Sense.EQ, float(a @ xs)))
-        blocks.append(Block(tuple(cols), (), (i,)))
+        coeffs.append(a)
+        rhs.append(float(a @ xs))
+        blocks.append(Block(tuple(range(i * n, (i + 1) * n)), (), (i,)))
+    # row i covers columns i*n .. i*n + n - 1
+    maps = coeff_rows(np.arange(k * n), np.concatenate(coeffs), [n] * k, "binary")
     inst = MixedBinaryInstance(
         name=name or f"subset-sum-k{k}-n{n}",
         n=k * n,
         d=0,
-        rows=tuple(rows),
+        rows=tuple(LinearRow(c, {}, Sense.EQ, b) for c, b in zip(maps, rhs)),
         blocks=tuple(blocks),
     )
     return GenResult(inst, MixedPoint(witness.astype(float), np.zeros(0)))
@@ -105,37 +109,40 @@ def gen_decomposable(
     if k < 1:
         raise ValueError("k must be positive")
     spec = block_spec
-    rows: list[LinearRow] = []
+    supports, bin_val, cont_val = [], [], []
     blocks: list[Block] = []
     witness = np.zeros(k * spec.n, dtype=np.int8)
     for i in range(k):
         bin_base, cont_base = i * spec.n, i * spec.d
         xs = rng.integers(0, 2, size=spec.n)
         witness[bin_base : bin_base + spec.n] = xs
-        bits = xs.tolist()
-        row_ids = []
         for _ in range(spec.rows):
-            support = np.sort(rng.choice(spec.n, size=spec.s, replace=False)).tolist()
+            supports.append(np.sort(rng.choice(spec.n, size=spec.s, replace=False)))
             mags = rng.integers(1, spec.coeff_max + 1, size=spec.s)
             signs = rng.integers(0, 2, size=spec.s) * 2 - 1
-            coeffs = {bin_base + j: float(v) for j, v in zip(support, (mags * signs).tolist())}
-            cont = rng.integers(-spec.coeff_max, spec.coeff_max + 1, size=spec.d).tolist()
-            cont_coeffs = {cont_base + j: float(v) for j, v in enumerate(cont) if v}
-            rhs = float(sum(coeffs[bin_base + j] * bits[j] for j in support))
-            row_ids.append(len(rows))
-            rows.append(LinearRow(coeffs, cont_coeffs, Sense.LE, rhs))
+            bin_val.append(mags * signs)
+            cont_val.append(rng.integers(-spec.coeff_max, spec.coeff_max + 1, size=spec.d))
         blocks.append(
             Block(
                 tuple(range(bin_base, bin_base + spec.n)),
                 tuple(range(cont_base, cont_base + spec.d)),
-                tuple(row_ids),
+                tuple(range(i * spec.rows, (i + 1) * spec.rows)),
             )
         )
+    m = k * spec.rows
+    block_of_row = np.repeat(np.arange(k), spec.rows)[:, None]
+    bin_idx = block_of_row * spec.n + np.array(supports)
+    bin_val = np.array(bin_val)
+    rhs = (bin_val * witness[bin_idx]).sum(axis=1).tolist()
+    # a block's rows list all its d continuous columns; coeff_rows drops the zeros
+    cont_idx = block_of_row * spec.d + np.arange(spec.d)
+    bins = coeff_rows(bin_idx.ravel(), bin_val.ravel(), [spec.s] * m, "binary")
+    conts = coeff_rows(cont_idx.ravel(), np.array(cont_val).ravel(), [spec.d] * m, "continuous")
     inst = MixedBinaryInstance(
         name=name or f"decomp-k{k}-n{spec.n}-d{spec.d}",
         n=k * spec.n,
         d=k * spec.d,
-        rows=tuple(rows),
+        rows=tuple(LinearRow(c, g, Sense.LE, b) for c, g, b in zip(bins, conts, rhs)),
         blocks=tuple(blocks),
     )
     return GenResult(inst, MixedPoint(witness.astype(float), np.zeros(k * spec.d)))
@@ -158,23 +165,20 @@ def gen_two_stage(
         raise ValueError("k, p, q and rows_per_scenario must be positive")
     r = rows_per_scenario
     A = rng.integers(-10, 11, size=(r, p))
-    D = [rng.integers(-10, 11, size=(r, q)) for _ in range(k)]
+    D = np.stack([rng.integers(-10, 11, size=(r, q)) for _ in range(k)])
     z = rng.integers(0, 2, size=p + k * q)
-    rows: list[LinearRow] = []
-    first = A.tolist()
-    for i in range(k):
-        zi = z[p + i * q : p + (i + 1) * q]
-        vals = (A @ z[:p] + D[i] @ zi).tolist()
-        second = D[i].tolist()
-        for t in range(r):
-            coeffs = {j: float(v) for j, v in enumerate(first[t]) if v}
-            coeffs.update({p + i * q + j: float(v) for j, v in enumerate(second[t]) if v})
-            rows.append(LinearRow(coeffs, {}, Sense.LE, float(vals[t])))
+    # row i*r + t lists A[t] over columns 0..p-1, then D^i[t] over columns p+i*q ..
+    second = p + np.arange(k)[:, None] * q + np.arange(q)
+    idx = np.concatenate((np.broadcast_to(np.arange(p), (k, r, p)),
+                          np.broadcast_to(second[:, None, :], (k, r, q))), axis=2)
+    val = np.concatenate((np.broadcast_to(A, (k, r, p)), D), axis=2)
+    rhs = (A @ z[:p] + np.einsum("itj,ij->it", D, z[p:].reshape(k, q))).ravel().tolist()
+    maps = coeff_rows(idx.ravel(), val.ravel(), [p + q] * (k * r), "binary")
     inst = MixedBinaryInstance(
         name=name or f"two-stage-k{k}-p{p}",
         n=p + k * q,
         d=0,
-        rows=tuple(rows),
+        rows=tuple(LinearRow(c, {}, Sense.LE, b) for c, b in zip(maps, rhs)),
     )
     return GenResult(inst, MixedPoint(z.astype(float), np.zeros(0)))
 

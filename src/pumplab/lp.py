@@ -22,6 +22,10 @@ reduced costs d stay in variable order, so pricing ties still go to the
 smallest variable index. The refresh of the basic values and reduced
 costs scatters T into a new full-width matrix of zeros and multiplies
 there, so BLAS sums the same terms in the same order as on the full tableau.
+It is built with np.zeros and a scatter, a C-ordered array, because the
+products' bits follow the BLAS routine numpy picks from the layout: a
+gather ext[:, idx] of an extended tableau comes out Fortran-ordered and
+changes answers, while np.take(ext, idx, axis=1), C-ordered, does not.
 
 An LpProblem is only the constraint system; it carries no objective.
 Every objective is posed through `resolve`, which runs phase 1 once on

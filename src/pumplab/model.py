@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, NamedTuple, Optional
+from collections.abc import Mapping
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -32,9 +33,108 @@ class Sense(str, Enum):
         return self.value
 
 
-def _clean_coeffs(coeffs: Mapping[int, float], what: str) -> dict[int, float]:
+class CoeffMap(Mapping):
+    """The coefficients of one row or objective, read-only.
+
+    `idx` holds the sorted int64 column indices and `val` their float64
+    coefficients, none of them zero; both arrays are read-only. The map
+    reads and compares like the dict {idx[i]: val[i]} in index order, with
+    Python ints and floats as its keys and values. Maps are built by
+    LinearRow and Objective from a dict, or by coeff_rows from arrays,
+    which check their input; all empty maps are EMPTY_COEFFS.
+    """
+
+    __slots__ = ("idx", "val")
+
+    def __init__(self, idx: np.ndarray, val: np.ndarray):
+        idx.flags.writeable = False
+        val.flags.writeable = False
+        object.__setattr__(self, "idx", idx)
+        object.__setattr__(self, "val", val)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CoeffMap is read-only")
+
+    def __reduce__(self):
+        return (_coeff_map, (self.idx, self.val))
+
+    def __getitem__(self, j) -> float:
+        if isinstance(j, (int, np.integer)):
+            pos = int(self.idx.searchsorted(j))
+            if pos < len(self.idx) and self.idx[pos] == j:
+                return float(self.val[pos])
+        raise KeyError(j)
+
+    def __iter__(self):
+        return iter(self.idx.tolist())
+
+    def __len__(self) -> int:
+        return len(self.idx)
+
+    def _dict(self) -> dict[int, float]:
+        return dict(zip(self.idx.tolist(), self.val.tolist()))
+
+    def items(self):
+        return self._dict().items()
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
+
+
+def _coeff_map(idx: np.ndarray, val: np.ndarray) -> CoeffMap:
+    # unpickling: empty maps are the shared one again
+    return CoeffMap(idx, val) if len(idx) else EMPTY_COEFFS
+
+
+EMPTY_COEFFS = CoeffMap(np.zeros(0, dtype=np.int64), np.zeros(0))
+
+
+def coeff_rows(idx, val, counts, what: str) -> list[CoeffMap]:
+    """One CoeffMap per row of a flat listing: row r is the next counts[r]
+    (index, value) pairs of idx and val.
+
+    Indices must be nonnegative integers, strictly increasing within each
+    row, and values finite; zero values are dropped. The maps are views
+    into one read-only copy of the arrays.
+    """
+    idx = np.asarray(idx)
+    val = np.asarray(val, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    if idx.shape != val.shape or idx.ndim != 1 or (counts < 0).any() or total != len(idx):
+        raise InvalidInstance(f"{what} index and value arrays do not match the row counts")
+    if len(idx):
+        if idx.dtype.kind not in "iu":
+            raise InvalidInstance(f"{what} index {idx[0]!r} is not a nonnegative int")
+        idx = idx.astype(np.int64, copy=False)
+        if idx.min() < 0:
+            raise InvalidInstance(f"{what} index {int(idx.min())!r} is not a nonnegative int")
+        step = np.ones(len(idx), dtype=bool)
+        step[1:] = idx[1:] > idx[:-1]
+        step[ends[:-1][counts[1:] > 0]] = True    # a row's first entry follows nothing
+        if not step.all():
+            raise InvalidInstance(f"{what} indices of a row are not strictly increasing")
+        bad = np.flatnonzero(~np.isfinite(val))
+        if len(bad):
+            raise InvalidInstance(f"{what} coefficient at {int(idx[bad[0]])} is not finite")
+    keep = val != 0.0
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    bounds = kept[np.concatenate(([0], ends))].tolist()
+    idx = idx[keep].astype(np.int64, copy=False)
+    val = val[keep]
+    idx.flags.writeable = False
+    val.flags.writeable = False
+    return [CoeffMap(idx[lo:hi], val[lo:hi]) if hi > lo else EMPTY_COEFFS
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _clean_coeffs(coeffs: Mapping[int, float], what: str) -> CoeffMap:
     # sorted support, no explicit zeros, finite floats only
-    out: dict[int, float] = {}
+    if isinstance(coeffs, CoeffMap):
+        return coeffs    # checked when it was built
+    idxs: list[int] = []
+    vals: list[float] = []
     for idx in sorted(coeffs):
         if not isinstance(idx, (int, np.integer)) or idx < 0:
             raise InvalidInstance(f"{what} index {idx!r} is not a nonnegative int")
@@ -42,16 +142,26 @@ def _clean_coeffs(coeffs: Mapping[int, float], what: str) -> dict[int, float]:
         if not math.isfinite(val):
             raise InvalidInstance(f"{what} coefficient at {idx} is not finite")
         if val != 0.0:
-            out[int(idx)] = val
-    return out
+            idxs.append(int(idx))
+            vals.append(val)
+    if not idxs:
+        return EMPTY_COEFFS
+    try:
+        return CoeffMap(np.array(idxs, dtype=np.int64), np.array(vals))
+    except OverflowError:
+        raise InvalidInstance(f"{what} index {idxs[-1]} does not fit in int64") from None
 
 
 @dataclass(frozen=True)
 class LinearRow:
-    """One sparse constraint: sum_j a_j x_j + sum_j g_j y_j  <sense>  rhs."""
+    """One sparse constraint: sum_j a_j x_j + sum_j g_j y_j  <sense>  rhs.
 
-    bin_coeffs: Mapping[int, float]
-    cont_coeffs: Mapping[int, float]
+    The coefficients may be given as {column index: coeff} dicts; each is
+    checked and kept as a CoeffMap.
+    """
+
+    bin_coeffs: CoeffMap
+    cont_coeffs: CoeffMap
     sense: Sense
     rhs: float
 
@@ -69,8 +179,8 @@ class LinearRow:
 class Objective:
     """Linear objective over all columns, always read as a maximization."""
 
-    bin_coeffs: Mapping[int, float]
-    cont_coeffs: Mapping[int, float] = field(default_factory=dict)
+    bin_coeffs: CoeffMap
+    cont_coeffs: CoeffMap = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "bin_coeffs", _clean_coeffs(self.bin_coeffs, "objective binary"))
@@ -110,14 +220,15 @@ class MixedBinaryInstance:
         for r, row in enumerate(self.rows):
             if not isinstance(row, LinearRow):
                 raise InvalidInstance(f"row {r} is not a LinearRow")
-            if row.bin_coeffs and max(row.bin_coeffs) >= self.n:
+            # a map's largest index is its last
+            if row.bin_coeffs and row.bin_coeffs.idx[-1] >= self.n:
                 raise InvalidInstance(f"row {r} references binary column >= n={self.n}")
-            if row.cont_coeffs and max(row.cont_coeffs) >= self.d:
+            if row.cont_coeffs and row.cont_coeffs.idx[-1] >= self.d:
                 raise InvalidInstance(f"row {r} references continuous column >= d={self.d}")
         if self.objective is not None:
-            if self.objective.bin_coeffs and max(self.objective.bin_coeffs) >= self.n:
+            if self.objective.bin_coeffs and self.objective.bin_coeffs.idx[-1] >= self.n:
                 raise InvalidInstance("objective references binary column out of range")
-            if self.objective.cont_coeffs and max(self.objective.cont_coeffs) >= self.d:
+            if self.objective.cont_coeffs and self.objective.cont_coeffs.idx[-1] >= self.d:
                 raise InvalidInstance("objective references continuous column out of range")
         if self.blocks is not None:
             object.__setattr__(self, "blocks", tuple(self.blocks))
@@ -161,19 +272,15 @@ class MixedBinaryInstance:
 
 def dense_rows(instance: MixedBinaryInstance):
     """Dense (A, B, senses, b) for the instance's rows, in row order."""
-    m = instance.m
-    A = np.zeros((m, instance.n))
-    B = np.zeros((m, instance.d))
-    b = np.zeros(m)
-    senses = []
-    for r, row in enumerate(instance.rows):
-        for j, v in row.bin_coeffs.items():
-            A[r, j] = v
-        for j, v in row.cont_coeffs.items():
-            B[r, j] = v
-        b[r] = row.rhs
-        senses.append(row.sense)
-    return A, B, senses, b
+    rows = instance.rows
+    A = np.zeros((instance.m, instance.n))
+    B = np.zeros((instance.m, instance.d))
+    for M, maps in ((A, [row.bin_coeffs for row in rows]), (B, [row.cont_coeffs for row in rows])):
+        if maps:
+            at = np.repeat(np.arange(len(maps)), [len(c) for c in maps])
+            M[at, np.concatenate([c.idx for c in maps])] = np.concatenate([c.val for c in maps])
+    b = np.array([row.rhs for row in rows], dtype=float)
+    return A, B, [row.sense for row in rows], b
 
 
 def dense_objective(instance: MixedBinaryInstance):
@@ -181,10 +288,8 @@ def dense_objective(instance: MixedBinaryInstance):
     cb = np.zeros(instance.n)
     cc = np.zeros(instance.d)
     if instance.objective is not None:
-        for j, v in instance.objective.bin_coeffs.items():
-            cb[j] = v
-        for j, v in instance.objective.cont_coeffs.items():
-            cc[j] = v
+        cb[instance.objective.bin_coeffs.idx] = instance.objective.bin_coeffs.val
+        cc[instance.objective.cont_coeffs.idx] = instance.objective.cont_coeffs.val
     return cb, cc
 
 
@@ -192,16 +297,16 @@ def dense_objective(instance: MixedBinaryInstance):
 _HALF_SIGNS = {Sense.LE: (1,), Sense.GE: (-1,), Sense.EQ: (1, -1)}
 
 
+def _times(coeffs: CoeffMap, sign: int) -> CoeffMap:
+    # sign * coeffs; a checked map stays checked, and the indices are shared
+    return coeffs if sign > 0 or not coeffs else CoeffMap(coeffs.idx, -coeffs.val)
+
+
 def _le_half(row: LinearRow, sign: int) -> LinearRow:
     # sign * row in <= form; a <= row's + half is the row itself
     if sign > 0 and row.sense is Sense.LE:
         return row
-    return LinearRow(
-        {j: sign * v for j, v in row.bin_coeffs.items()},
-        {j: sign * v for j, v in row.cont_coeffs.items()},
-        Sense.LE,
-        sign * row.rhs,
-    )
+    return LinearRow(_times(row.bin_coeffs, sign), _times(row.cont_coeffs, sign), Sense.LE, sign * row.rhs)
 
 
 def normalize(instance: MixedBinaryInstance) -> MixedBinaryInstance:
@@ -255,16 +360,12 @@ def check_feasible(instance: MixedBinaryInstance, point: MixedPoint, tol: float 
         )
     if np.any(x < -tol) or np.any(x > 1.0 + tol):
         return False
-    for row in instance.rows:
-        lhs = sum(v * x[j] for j, v in row.bin_coeffs.items())
-        lhs += sum(v * y[j] for j, v in row.cont_coeffs.items())
-        if row.sense is Sense.LE and lhs > row.rhs + tol:
-            return False
-        if row.sense is Sense.GE and lhs < row.rhs - tol:
-            return False
-        if row.sense is Sense.EQ and abs(lhs - row.rhs) > tol:
-            return False
-    return True
+    A, B, senses, b = dense_rows(instance)
+    lhs = A @ x + B @ y
+    ge = np.array([s is Sense.GE for s in senses], dtype=bool)
+    eq = np.array([s is Sense.EQ for s in senses], dtype=bool)
+    ok = np.where(ge, lhs >= b - tol, lhs <= b + tol)
+    return bool(np.all(np.where(eq, np.abs(lhs - b) <= tol, ok)))
 
 
 def detect_blocks(instance: MixedBinaryInstance) -> tuple[Block, ...]:
@@ -274,45 +375,31 @@ def detect_blocks(instance: MixedBinaryInstance) -> tuple[Block, ...]:
     ordered by their smallest column (binary first, then continuous-only
     blocks by continuous index), matching how generators lay columns out.
     """
-    # union-find over nodes: binary j -> j, continuous j -> n + j, row r -> n + d + r
+    # nodes: binary j -> j, continuous j -> n + j, row r -> n + d + r; each
+    # node's label ends as the smallest node of its component, so ordering
+    # blocks by label is the order above
     n, d, m = instance.n, instance.d, instance.m
-    parent = list(range(n + d + m))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for r, row in enumerate(instance.rows):
-        node = n + d + r
-        for j in row.bin_coeffs:
-            union(node, j)
-        for j in row.cont_coeffs:
-            union(node, n + j)
-
-    groups: dict[int, dict[str, list[int]]] = {}
-    for j in range(n):
-        groups.setdefault(find(j), {"b": [], "c": [], "r": []})["b"].append(j)
-    for j in range(d):
-        groups.setdefault(find(n + j), {"b": [], "c": [], "r": []})["c"].append(j)
-    for r in range(m):
-        groups.setdefault(find(n + d + r), {"b": [], "c": [], "r": []})["r"].append(r)
-
-    def sort_key(g: dict[str, list[int]]):
-        if g["b"]:
-            return (0, min(g["b"]))
-        if g["c"]:
-            return (1, min(g["c"]))
-        return (2, min(g["r"]))
-
-    blocks = [
-        Block(tuple(g["b"]), tuple(g["c"]), tuple(g["r"]))
-        for g in sorted(groups.values(), key=sort_key)
-    ]
+    rows = instance.rows
+    lens = [len(row.bin_coeffs) + len(row.cont_coeffs) for row in rows]
+    row_node = np.repeat(n + d + np.arange(m), lens)
+    col_node = np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [c for row in rows for c in (row.bin_coeffs.idx, n + row.cont_coeffs.idx)]
+    )
+    label = np.arange(n + d + m)
+    while True:
+        at_row, at_col = label[row_node], label[col_node]
+        if np.array_equal(at_row, at_col):
+            break
+        # hook each edge's larger root under its smaller one, then flatten
+        np.minimum.at(label, np.maximum(at_row, at_col), np.minimum(at_row, at_col))
+        while not np.array_equal(label[label], label):
+            label = label[label]
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    blocks = []
+    for nodes in np.split(order, starts)[1:]:
+        cut = np.searchsorted(nodes, (n, n + d))
+        bins, conts, rws = np.split(nodes, cut)
+        blocks.append(Block(tuple(bins.tolist()), tuple((conts - n).tolist()), tuple((rws - n - d).tolist())))
     return tuple(blocks)

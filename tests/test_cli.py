@@ -103,6 +103,8 @@ def test_bad_flip_settings_are_argument_errors(capsys, argv):
     ["bench", "--instances", os.path.join(DATA, "fractional_stall.pl"), "--algs", "orig",
      "--seeds", "1", "--time-limit", "-1"],
     ["bench", "--instances", os.path.join(DATA, "fractional_stall.pl"), "--algs", "orig",
+     "--seeds", "1", "--time-limit", "nan"],
+    ["bench", "--instances", os.path.join(DATA, "fractional_stall.pl"), "--algs", "orig",
      "--seeds", "1", "--workers", "-2"],
     ["verify-bounds", "--theorem", "1", "--runs", "2", "--cap-limit", "-5", "--ks", "1", "--ns", "2"],
     ["verify-bounds", "--theorem", "1", "--runs", "2", "--cap-limit", "0", "--ks", "1", "--ns", "2"],
@@ -214,6 +216,19 @@ def test_bench_family_leaves_flags_not_given_to_the_suite(tmp_path, capsys, flag
     assert rc == 0
     names = [line.split(",")[0] for line in csv_path.read_text(encoding="utf-8").splitlines()[1:]]
     assert names == sorted(inst.name for inst in suite())
+
+
+@pytest.mark.parametrize("limit, outcome", [("inf", "found"), ("0", "timeout")])
+def test_bench_time_limit_takes_zero_and_inf(tmp_path, capsys, limit, outcome):
+    # the flag used to take only limits strictly between 0 and inf, so the
+    # CLI could not run a no-limit sweep; 0 times every run out
+    csv_path = tmp_path / "rows.csv"
+    rc, _, _ = run_cli(capsys, "bench", "--family", "subset-sum", "--ks", "1", "--ns", "3",
+                       "--algs", "wfp", "--seeds", "1,2", "--max-iter", "200",
+                       "--time-limit", limit, "--csv", str(csv_path))
+    assert rc == 0
+    rows = csv_path.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 2 and all(row.split(",")[3] == outcome for row in rows)
 
 
 def test_bench_accepts_instance_files(tmp_path, capsys):
